@@ -55,19 +55,51 @@ void BM_FftRows(benchmark::State& state) {
 }
 BENCHMARK(BM_FftRows)->Arg(256)->Arg(1024);
 
-void BM_Transpose(benchmark::State& state) {
+// Out of place at 512: the kMixed42 path (fused gather + radix-2 seed,
+// then the radix-4 ladder) the fft_rows/fft_cols kernels run on each
+// 512-point line of a 512^2 2D FFT.
+void BM_FftRowsOutOfPlace(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  std::vector<Complex> in(n * n, Complex(1.0f, 0.0f));
-  std::vector<Complex> out(n * n);
-  for (auto _ : state) {
-    isspl::transpose(std::span<const Complex>(in), std::span<Complex>(out), n,
-                     n);
-    benchmark::DoNotOptimize(out.data());
+  const std::size_t rows = 64;
+  isspl::FftPlan plan(n, isspl::FftDirection::kForward);
+  std::vector<Complex> in(rows * n);
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    in[i] = Complex(static_cast<float>(i % 17) - 8.0f,
+                    static_cast<float>(i % 13) - 6.0f);
   }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n * n * sizeof(Complex)));
+  std::vector<Complex> out(in.size());
+  for (auto _ : state) {
+    plan.execute_rows(std::span<const Complex>(in), std::span<Complex>(out),
+                      rows);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(rows * n));
 }
-BENCHMARK(BM_Transpose)->Arg(256)->Arg(1024);
+BENCHMARK(BM_FftRowsOutOfPlace)->Arg(512);
+
+// rows x cols complex transpose; 512 x 256 is the per-node corner-turn
+// shape of a 512^2 2D FFT on two nodes.
+void BM_Transpose(benchmark::State& state) {
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  const auto cols = static_cast<std::size_t>(state.range(1));
+  std::vector<Complex> in(rows * cols, Complex(1.0f, 0.0f));
+  std::vector<Complex> out(rows * cols);
+  for (auto _ : state) {
+    isspl::transpose(std::span<const Complex>(in), std::span<Complex>(out),
+                     rows, cols);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(
+      static_cast<std::int64_t>(state.iterations()) *
+      static_cast<std::int64_t>(rows * cols * sizeof(Complex)));
+}
+BENCHMARK(BM_Transpose)
+    ->Args({256, 256})
+    ->Args({1024, 1024})
+    ->Args({512, 256});
 
 void BM_PackColumnBlock(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

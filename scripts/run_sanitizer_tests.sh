@@ -13,7 +13,9 @@
 #            suites (reader/compiler/VM, script differentials, codegen
 #            goldens): the VM manages frame/chunk shared_ptr graphs and
 #            a manually indexed value stack -- exactly what sanitizers
-#            are for.
+#            are for. ASan also runs the ISSPL FFT and transpose suites:
+#            their two-complex vector loads and stores must stay inside
+#            each line and matrix, including odd transpose shapes.
 #   tsan  -- ThreadSanitizer: the concurrency-heavy suites (emulated
 #            machine dispatch handshake, fabric, MPI layer, the
 #            engine/session execution paths, the streaming executor --
@@ -30,9 +32,9 @@
 #   ubsan -- UndefinedBehaviorSanitizer: the arithmetic-heavy paths
 #            (compiled transfer programs and their serialized form,
 #            striping/run-intersection math, FFT permutation and twiddle
-#            indexing, fault frame packing). UBSan composes with ASan;
-#            set SAGE_EXTRA_CMAKE_FLAGS=-DSAGE_ASAN=ON for the combined
-#            build.
+#            indexing, the 2x2-tile transpose's index math, fault frame
+#            packing). UBSan composes with ASan; set
+#            SAGE_EXTRA_CMAKE_FLAGS=-DSAGE_ASAN=ON for the combined build.
 #
 # Usage: scripts/run_sanitizer_tests.sh <asan|tsan|ubsan> [build-dir]
 set -eu
@@ -46,8 +48,9 @@ case "$flavor" in
     targets="net_test session_test streaming_test striping_test fault_test \
       integration_pipeline_test viz_test metrics_test program_test \
       random_graph_test serve_test transport_test tuner_test \
-      alter_test alter_script_test codegen_test codegen_golden_test"
-    filter='(Fabric|Session|Streaming|Striping|Redistribution|Fault|Degraded|Pipeline|Metrics|Trace|Analysis|Export|Program|PlanCache|RandomChain|Diamond|Serve|Transport|Shmem|Tuner|Alter|Reader|Eval|Builtin|Emit|Vm|Codegen)'
+      alter_test alter_script_test codegen_test codegen_golden_test \
+      isspl_test"
+    filter='(Fabric|Session|Streaming|Striping|Redistribution|Fault|Degraded|Pipeline|Metrics|Trace|Analysis|Export|Program|PlanCache|RandomChain|Diamond|Serve|Transport|Shmem|Tuner|Alter|Reader|Eval|Builtin|Emit|Vm|Codegen|Fft|Transpose)'
     ;;
   tsan)
     cmake_flag=-DSAGE_TSAN=ON
@@ -63,7 +66,7 @@ case "$flavor" in
       integration_pipeline_test isspl_test registry_test metrics_test \
       program_test random_graph_test serve_test transport_test tuner_test \
       alter_test alter_script_test codegen_test codegen_golden_test"
-    filter='(Fabric|Session|Streaming|Striping|Redistribution|Fault|Degraded|Pipeline|Fft|Kernel|Plan|Metrics|Program|PlanCache|RandomChain|Diamond|Serve|Transport|Shmem|Tuner|Alter|Reader|Eval|Builtin|Emit|Vm|Codegen)'
+    filter='(Fabric|Session|Streaming|Striping|Redistribution|Fault|Degraded|Pipeline|Fft|Transpose|Kernel|Plan|Metrics|Program|PlanCache|RandomChain|Diamond|Serve|Transport|Shmem|Tuner|Alter|Reader|Eval|Builtin|Emit|Vm|Codegen)'
     ;;
   *)
     echo "usage: $0 <asan|tsan|ubsan> [build-dir]" >&2

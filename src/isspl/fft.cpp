@@ -3,6 +3,7 @@
 #include <cmath>
 #include <numbers>
 
+#include "isspl/cvec2.hpp"
 #include "isspl/transpose.hpp"
 #include "support/error.hpp"
 
@@ -102,19 +103,7 @@ void FftPlan::build_radix4() {
     rev_[i] = reverse_digits_base4(static_cast<std::uint32_t>(i), digits);
   }
 
-  // Per stage (m = 4, 16, ..., n): for each j < m/4, the three factors
-  // w^j, w^(2j), w^(3j) with w = e^(+-2*pi*i/m), stored consecutively.
-  const double sign = (direction_ == FftDirection::kForward) ? -1.0 : 1.0;
-  for (std::size_t m = 4; m <= n_; m <<= 2) {
-    const double theta = sign * 2.0 * std::numbers::pi / static_cast<double>(m);
-    for (std::size_t j = 0; j < m / 4; ++j) {
-      for (int power = 1; power <= 3; ++power) {
-        const double angle = theta * static_cast<double>(j * power);
-        twiddles_.emplace_back(static_cast<float>(std::cos(angle)),
-                               static_cast<float>(std::sin(angle)));
-      }
-    }
-  }
+  build_radix4_twiddles_(16);
 }
 
 void FftPlan::build_mixed42() {
@@ -158,13 +147,18 @@ void FftPlan::build_mixed42() {
     }
   }
 
-  // Twiddles for the radix-4 stages, same per-stage layout as
-  // build_radix4: for each j < m/4 the powers w^j, w^(2j), w^(3j).
+  build_radix4_twiddles_(8);
+}
+
+void FftPlan::build_radix4_twiddles_(std::size_t m0) {
+  // Per stage (m = m0, 4*m0, ..., n) three runs of m/4 factors: all w^j,
+  // then all w^(2j), then all w^(3j), j < m/4, with w = e^(+-2*pi*i/m).
+  // Runs let the butterflies load the twiddles of two adjacent j at once.
   const double sign = (direction_ == FftDirection::kForward) ? -1.0 : 1.0;
-  for (std::size_t m = 8; m <= n_; m <<= 2) {
+  for (std::size_t m = m0; m <= n_; m <<= 2) {
     const double theta = sign * 2.0 * std::numbers::pi / static_cast<double>(m);
-    for (std::size_t j = 0; j < m / 4; ++j) {
-      for (int power = 1; power <= 3; ++power) {
+    for (std::size_t power = 1; power <= 3; ++power) {
+      for (std::size_t j = 0; j < m / 4; ++j) {
         const double angle = theta * static_cast<double>(j * power);
         twiddles_.emplace_back(static_cast<float>(std::cos(angle)),
                                static_cast<float>(std::sin(angle)));
@@ -186,7 +180,7 @@ void FftPlan::execute(std::span<Complex> data) const {
   } else {
     for (const auto& [a, b] : perm_swaps_) std::swap(x[a], x[b]);
   }
-  run_stages_(x);
+  run_stages_(x, [x](std::size_t i) { return detail::load2(x + i); });
 }
 
 void FftPlan::execute(std::span<const Complex> in,
@@ -195,16 +189,52 @@ void FftPlan::execute(std::span<const Complex> in,
              "FFT buffer sizes ", in.size(), "/", out.size(),
              " do not match plan size ", n_);
   const Complex* s = in.data();
+  const std::uint32_t* rev = rev_.data();
   Complex* x = out.data();
-  for (std::size_t i = 0; i < n_; ++i) x[i] = s[rev_[i]];
-  run_stages_(x);
+  if (algorithm_ == FftAlgorithm::kRadix2) {
+    for (std::size_t i = 0; i < n_; ++i) x[i] = s[rev[i]];
+  }
+  // The radix-4 paths gather inside their first stage instead.
+  run_stages_(x, [s, rev](std::size_t i) {
+    return detail::join2(s[rev[i]], s[rev[i + 1]]);
+  });
 }
 
-void FftPlan::run_stages_(Complex* x) const {
+template <typename Load2>
+void FftPlan::run_stages_(Complex* x, Load2 load) const {
+  using namespace detail;
   if (algorithm_ == FftAlgorithm::kRadix4) {
-    execute_radix4(x);
+    // Stage m == 4: every group uses j == 0, whose three twiddles are all
+    // w^0 == 1 exactly -- a multiply-free radix-4 butterfly pass. One
+    // group is (y0, y1) and (y2, y3); each sum/difference below does two
+    // of the scalar butterfly's complex adds.
+    const CVec2Bits rot = direction_ == FftDirection::kForward ? kTimesMinusI
+                                                               : kTimesPlusI;
+    for (std::size_t base = 0; base < n_; base += 4) {
+      const CVec2 a = load(base);
+      const CVec2 b = load(base + 2);
+      const CVec2 s = a + b;                     // (t0, t2)
+      const CVec2 d = a - b;                     // (t1, y1 - y3)
+      const CVec2 p = lo2(s, d);                 // (t0, t1)
+      const CVec2 q = hi2(s, rotate(d, rot));    // (t2, t3)
+      store2(x + base, p + q);
+      store2(x + base + 2, p - q);
+    }
+    radix4_stages_(x, 16);
   } else if (algorithm_ == FftAlgorithm::kMixed42) {
-    execute_mixed42(x);
+    // Radix-2 seed stage on adjacent pairs (w^0 == 1: multiply-free), two
+    // pairs per step, then the radix-4 ladder from m == 8.
+    for (std::size_t base = 0; base < n_; base += 4) {
+      const CVec2 a = load(base);
+      const CVec2 b = load(base + 2);
+      const CVec2 u = lo2(a, b);
+      const CVec2 t = hi2(a, b);
+      const CVec2 s = u + t;
+      const CVec2 d = u - t;
+      store2(x + base, lo2(s, d));
+      store2(x + base + 2, hi2(s, d));
+    }
+    radix4_stages_(x, 8);
   } else {
     execute_radix2(x);
   }
@@ -275,98 +305,47 @@ void FftPlan::execute_radix2(Complex* x) const {
   }
 }
 
-void FftPlan::execute_radix4(Complex* x) const {
-  // Forward uses W4 = -i (multiply by -i == (im, -re)); inverse uses +i.
-  const bool forward = direction_ == FftDirection::kForward;
-  const auto rotate = [forward](const Complex& v) {
-    return forward ? Complex(v.imag(), -v.real())
-                   : Complex(-v.imag(), v.real());
+void FftPlan::radix4_stages_(Complex* x, std::size_t m0) const {
+  using namespace detail;
+  const CVec2Bits rot = direction_ == FftDirection::kForward ? kTimesMinusI
+                                                             : kTimesPlusI;
+  // Two radix-4 butterflies at once, one per lane: lanes are adjacent j.
+  const auto butterfly = [rot](Complex* p, std::size_t quarter, CVec2 y0,
+                               CVec2 y1, CVec2 y2, CVec2 y3) {
+    const CVec2 t0 = y0 + y2;
+    const CVec2 t1 = y0 - y2;
+    const CVec2 t2 = y1 + y3;
+    const CVec2 t3 = rotate(y1 - y3, rot);
+    store2(p, t0 + t2);
+    store2(p + quarter, t1 + t3);
+    store2(p + 2 * quarter, t0 - t2);
+    store2(p + 3 * quarter, t1 - t3);
   };
 
   const Complex* stage_tw = twiddles_.data();
-
-  // Stage m == 4: every group uses j == 0, whose three twiddles are all
-  // w^0 == 1 exactly -- a multiply-free radix-4 butterfly pass.
-  if (n_ >= 4) {
-    for (std::size_t base = 0; base < n_; base += 4) {
-      const Complex y0 = x[base];
-      const Complex y1 = x[base + 1];
-      const Complex y2 = x[base + 2];
-      const Complex y3 = x[base + 3];
-
-      const Complex t0 = y0 + y2;
-      const Complex t1 = y0 - y2;
-      const Complex t2 = y1 + y3;
-      const Complex t3 = rotate(y1 - y3);
-
-      x[base] = t0 + t2;
-      x[base + 1] = t1 + t3;
-      x[base + 2] = t0 - t2;
-      x[base + 3] = t1 - t3;
-    }
-    stage_tw += 3;
-  }
-
-  radix4_stages_(x, 16, stage_tw);
-}
-
-void FftPlan::execute_mixed42(Complex* x) const {
-  // Radix-2 seed stage on adjacent pairs (w^0 == 1: multiply-free), then
-  // the radix-4 ladder from m == 8.
-  for (std::size_t base = 0; base < n_; base += 2) {
-    const Complex u = x[base];
-    const Complex t = x[base + 1];
-    x[base] = u + t;
-    x[base + 1] = u - t;
-  }
-  radix4_stages_(x, 8, twiddles_.data());
-}
-
-void FftPlan::radix4_stages_(Complex* x, std::size_t m0,
-                             const Complex* stage_tw) const {
-  const bool forward = direction_ == FftDirection::kForward;
-  const auto rotate = [forward](const Complex& v) {
-    return forward ? Complex(v.imag(), -v.real())
-                   : Complex(-v.imag(), v.real());
-  };
-
   for (std::size_t m = m0; m <= n_; m <<= 2) {
-    const std::size_t quarter = m / 4;
+    const std::size_t quarter = m / 4;  // even, since m0 >= 8
+    const Complex* w1 = stage_tw;
+    const Complex* w2 = stage_tw + quarter;
+    const Complex* w3 = stage_tw + 2 * quarter;
     for (std::size_t base = 0; base < n_; base += m) {
-      // j == 0 peeled: all three twiddles are w^0 == 1 exactly.
+      Complex* p = x + base;
+      // j == 0, 1: the j == 0 lane keeps its inputs unmultiplied, since
+      // all three twiddles are w^0 == 1 exactly (a multiply would turn
+      // some -0 into +0).
       {
-        const Complex y0 = x[base];
-        const Complex y1 = x[base + quarter];
-        const Complex y2 = x[base + 2 * quarter];
-        const Complex y3 = x[base + 3 * quarter];
-
-        const Complex t0 = y0 + y2;
-        const Complex t1 = y0 - y2;
-        const Complex t2 = y1 + y3;
-        const Complex t3 = rotate(y1 - y3);
-
-        x[base] = t0 + t2;
-        x[base + quarter] = t1 + t3;
-        x[base + 2 * quarter] = t0 - t2;
-        x[base + 3 * quarter] = t1 - t3;
+        const CVec2 x1 = load2(p + quarter);
+        const CVec2 x2 = load2(p + 2 * quarter);
+        const CVec2 x3 = load2(p + 3 * quarter);
+        butterfly(p, quarter, load2(p), splice2(x1, cmul(load2(w1), x1)),
+                  splice2(x2, cmul(load2(w2), x2)),
+                  splice2(x3, cmul(load2(w3), x3)));
       }
-      const Complex* tw = stage_tw + 3;
-      for (std::size_t j = 1; j < quarter; ++j) {
-        const Complex y0 = x[base + j];
-        const Complex y1 = tw[0] * x[base + j + quarter];
-        const Complex y2 = tw[1] * x[base + j + 2 * quarter];
-        const Complex y3 = tw[2] * x[base + j + 3 * quarter];
-        tw += 3;
-
-        const Complex t0 = y0 + y2;
-        const Complex t1 = y0 - y2;
-        const Complex t2 = y1 + y3;
-        const Complex t3 = rotate(y1 - y3);
-
-        x[base + j] = t0 + t2;
-        x[base + j + quarter] = t1 + t3;
-        x[base + j + 2 * quarter] = t0 - t2;
-        x[base + j + 3 * quarter] = t1 - t3;
+      for (std::size_t j = 2; j < quarter; j += 2) {
+        butterfly(p + j, quarter, load2(p + j),
+                  cmul(load2(w1 + j), load2(p + j + quarter)),
+                  cmul(load2(w2 + j), load2(p + j + 2 * quarter)),
+                  cmul(load2(w3 + j), load2(p + j + 3 * quarter)));
       }
     }
     stage_tw += 3 * quarter;

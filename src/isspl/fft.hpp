@@ -2,7 +2,13 @@
 //
 // Stands in for the CSPI ISSPL vector library the paper's benchmarks
 // linked against: plan-based, single-precision complex, power-of-two
-// radix-2 with precomputed twiddles and bit-reversal table. Both the
+// sizes with precomputed twiddles and input permutation. Sizes run as
+// radix-4 or mixed radix-4/2 (one radix-2 seed stage), two butterflies
+// per 16-byte vector; plain scalar radix-2 stays as the reference. The
+// vector butterflies round exactly the operations of a scalar
+// std::complex<float> butterfly (the complex multiply is
+// (wr*xr - wi*xi, wr*xi + wi*xr), w^0 lanes are not multiplied), so
+// their output bits are fixed; FftGoldenTest pins them. Both the
 // hand-coded benchmark and the SAGE-generated one call these same leaf
 // kernels, exactly as both versions on the CSPI machine called ISSPL.
 #pragma once
@@ -47,8 +53,9 @@ class FftPlan {
   void execute_rows(std::span<Complex> data, std::size_t rows) const;
 
   /// Out-of-place transform: applies the bit/digit-reversal permutation
-  /// while loading `in` into `out`, saving the separate copy and swap
-  /// passes. Bit-identical to copying `in` into `out` and running the
+  /// while loading `in` into `out` (the radix-4 paths inside their first
+  /// butterfly stage), saving the separate copy and swap passes.
+  /// Bit-identical to copying `in` into `out` and running the
   /// in-place execute(). `in` and `out` must not alias.
   void execute(std::span<const Complex> in, std::span<Complex> out) const;
 
@@ -60,20 +67,26 @@ class FftPlan {
   void build_radix2();
   void build_radix4();
   void build_mixed42();
+  /// Appends the twiddle runs of the radix-4 stages m0, 4*m0, ..., n.
+  void build_radix4_twiddles_(std::size_t m0);
   void execute_radix2(Complex* x) const;
-  void execute_radix4(Complex* x) const;
-  void execute_mixed42(Complex* x) const;
-  /// Radix-4 butterfly ladder from stage size `m0` (doubling by 4) up
-  /// to n; shared by the radix-4 and mixed-radix paths.
-  void radix4_stages_(Complex* x, std::size_t m0,
-                      const Complex* stage_tw) const;
-  /// Butterfly stages + inverse scaling over already-permuted data.
-  void run_stages_(Complex* x) const;
+  /// First butterfly stage, reading the permuted input through `load`
+  /// (`load(i)` returns elements i and i+1 as one vector), then the
+  /// remaining stages and inverse scaling, all in `x`. The radix-2 path
+  /// ignores `load` and expects `x` already permuted.
+  template <typename Load2>
+  void run_stages_(Complex* x, Load2 load) const;
+  /// Two-wide radix-4 butterfly ladder from stage size `m0` (8 or 16,
+  /// growing by 4) up to n; shared by the radix-4 and mixed-radix paths.
+  void radix4_stages_(Complex* x, std::size_t m0) const;
 
   std::size_t n_;
   FftDirection direction_;
   FftAlgorithm algorithm_;
-  std::vector<Complex> twiddles_;     // per-stage roots of unity
+  /// Per-stage roots of unity. Radix-2: w^k, k < m/2, per stage m.
+  /// Radix-4 ladder: three runs per stage m (all w^j, then all w^(2j),
+  /// then all w^(3j), j < m/4), so adjacent j load as one vector.
+  std::vector<Complex> twiddles_;
   std::vector<std::uint32_t> rev_;    // input permutation (out[i] = in[rev_[i]])
   /// In-place realization of rev_ as a swap sequence. The pure-radix
   /// reversals are involutions (swap when i < rev_[i]); the mixed-radix

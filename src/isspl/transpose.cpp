@@ -1,7 +1,9 @@
 #include "isspl/transpose.hpp"
 
 #include <algorithm>
+#include <type_traits>
 
+#include "isspl/cvec2.hpp"
 #include "support/error.hpp"
 
 namespace sage::isspl {
@@ -9,6 +11,29 @@ namespace sage::isspl {
 namespace {
 
 constexpr std::size_t kBlock = 32;  // elements per cache tile edge
+
+/// Complex transpose for even rows and cols: the cache tiles are walked
+/// in 2x2 element tiles, each two vector loads (two input rows) and two
+/// vector stores (two output rows).
+void transpose_complex_2x2(const std::complex<float>* in,
+                           std::complex<float>* out, std::size_t rows,
+                           std::size_t cols) {
+  using namespace detail;
+  for (std::size_t rb = 0; rb < rows; rb += kBlock) {
+    const std::size_t rend = std::min(rb + kBlock, rows);
+    for (std::size_t cb = 0; cb < cols; cb += kBlock) {
+      const std::size_t cend = std::min(cb + kBlock, cols);
+      for (std::size_t r = rb; r < rend; r += 2) {
+        for (std::size_t c = cb; c < cend; c += 2) {
+          const CVec2 a = load2(in + r * cols + c);
+          const CVec2 b = load2(in + (r + 1) * cols + c);
+          store2(out + c * rows + r, lo2(a, b));
+          store2(out + (c + 1) * rows + r, hi2(a, b));
+        }
+      }
+    }
+  }
+}
 
 }  // namespace
 
@@ -19,6 +44,12 @@ void transpose(std::span<const T> in, std::span<T> out, std::size_t rows,
   SAGE_CHECK(out.size() == rows * cols, "transpose: output size mismatch");
   SAGE_CHECK(in.data() != out.data(), "transpose: buffers must not alias");
 
+  if constexpr (std::is_same_v<T, std::complex<float>>) {
+    if (rows % 2 == 0 && cols % 2 == 0) {
+      transpose_complex_2x2(in.data(), out.data(), rows, cols);
+      return;
+    }
+  }
   for (std::size_t rb = 0; rb < rows; rb += kBlock) {
     const std::size_t rend = std::min(rb + kBlock, rows);
     for (std::size_t cb = 0; cb < cols; cb += kBlock) {

@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numbers>
 #include <numeric>
 
 #include "isspl/fft.hpp"
 #include "isspl/transpose.hpp"
 #include "isspl/vector_ops.hpp"
+#include "net/framing.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 
@@ -236,6 +238,63 @@ TEST(FftTest, RejectsBadSizes) {
   EXPECT_THROW(plan.execute(wrong), Error);
 }
 
+// Every legal algorithm for size n (kAuto resolves to one of the others).
+std::vector<FftAlgorithm> algorithms_for(std::size_t n) {
+  std::vector<FftAlgorithm> out = {FftAlgorithm::kAuto, FftAlgorithm::kRadix2};
+  const bool pow4 = (n & 0x5555555555555555ull) != 0;
+  if (pow4) out.push_back(FftAlgorithm::kRadix4);
+  if (n >= 8 && !pow4) out.push_back(FftAlgorithm::kMixed42);
+  return out;
+}
+
+std::uint64_t hash_bits(std::uint64_t h, std::span<const Complex> x) {
+  return net::fnv1a_accum(h, reinterpret_cast<const std::byte*>(x.data()),
+                          x.size_bytes());
+}
+
+TEST(FftGoldenTest, OutputsBitIdenticalToSeed) {
+  // FNV-1a over the raw float bits of every output: both directions,
+  // every legal algorithm, in place and out of place, on a random
+  // signal sprinkled with +-0 and on an all -0 signal. The all -0 one
+  // transforms to -0 in bin 0 only if every w^0 == 1 twiddle passes its
+  // input through: multiplying (-0, -0) by (1, 0) gives (+0, -0). The
+  // expected values are the output of scalar std::complex<float>
+  // butterflies; the vector kernels must reproduce them exactly.
+  const std::pair<std::size_t, std::uint64_t> kGolden[] = {
+      {2, 0x88e7037da0d33405ull},    {4, 0xd5f4d3933a327b1dull},
+      {8, 0x0815b3dbc36b1749ull},    {16, 0x63d00d7d5805972dull},
+      {32, 0x4ced1e43528c05b1ull},   {64, 0x036f0cfa0e82afc1ull},
+      {128, 0x51913fab14269cf5ull},  {256, 0xa8b0ae42b6a1379dull},
+      {512, 0x80a2e3ec7cb95845ull},  {1024, 0x38dc1aad349afe05ull},
+      {2048, 0x343748b36d514f9dull}, {4096, 0x52a08512d02cb92dull},
+      {8192, 0x85aa74573dd62005ull},
+  };
+  for (const auto& [n, expected] : kGolden) {
+    std::vector<Complex> noisy = random_signal(n, 1000 + n);
+    std::vector<Complex> zeros(n, Complex(-0.0f, -0.0f));
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i % 5 == 0) noisy[i].real(0.0f);
+      if (i % 7 == 0) noisy[i].imag(-0.0f);
+      if (i % 11 == 0) noisy[i] = Complex(-0.0f, -0.0f);
+    }
+    std::uint64_t h = net::kFnvOffsetBasis;
+    for (const auto algorithm : algorithms_for(n)) {
+      for (const auto dir : {FftDirection::kForward, FftDirection::kInverse}) {
+        const FftPlan plan(n, dir, algorithm);
+        for (const auto* input : {&noisy, &zeros}) {
+          std::vector<Complex> in_place = *input;
+          plan.execute(in_place);
+          std::vector<Complex> out(n);
+          plan.execute(std::span<const Complex>(*input),
+                       std::span<Complex>(out));
+          h = hash_bits(hash_bits(h, in_place), out);
+        }
+      }
+    }
+    EXPECT_EQ(h, expected) << "n=" << n << " hash 0x" << std::hex << h;
+  }
+}
+
 TEST(FftTest, ExecuteRowsMatchesRowwise) {
   constexpr std::size_t kRows = 4, kCols = 64;
   auto data = random_signal(kRows * kCols, 31);
@@ -359,6 +418,36 @@ TEST(TransposeTest, AliasAndSizeChecks) {
       Error);
   std::vector<int> out(3);
   EXPECT_THROW(transpose<int>(buf, out, 2, 2), Error);
+  // Even complex shapes take the vector path; the checks come first.
+  std::vector<Complex> cbuf(4), cshort(3);
+  EXPECT_THROW(transpose<Complex>(std::span<const Complex>(cbuf.data(), 4),
+                                  std::span<Complex>(cbuf.data(), 4), 2, 2),
+               Error);
+  EXPECT_THROW(transpose<Complex>(cbuf, cshort, 2, 2), Error);
+  EXPECT_THROW(transpose<Complex>(cshort, cbuf, 2, 2), Error);
+}
+
+TEST(TransposeTest, ComplexMatchesDefinitionBitForBit) {
+  // Even x even shapes take the 2x2-tile vector path; any odd dimension
+  // takes the scalar tile loop.
+  const std::pair<std::size_t, std::size_t> kShapes[] = {
+      {1, 1},   {1, 8},  {2, 3},    {3, 2},
+      {32, 32}, {33, 65}, {512, 256}, {256, 512},
+  };
+  for (const auto& [rows, cols] : kShapes) {
+    std::vector<Complex> in = random_signal(rows * cols, rows * 1000 + cols);
+    for (std::size_t i = 0; i < in.size(); i += 3) in[i].imag(-0.0f);
+    std::vector<Complex> out(in.size());
+    transpose<Complex>(in, out, rows, cols);
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        ASSERT_EQ(std::memcmp(&out[c * rows + r], &in[r * cols + c],
+                              sizeof(Complex)),
+                  0)
+            << rows << "x" << cols << " at (" << r << ", " << c << ")";
+      }
+    }
+  }
 }
 
 TEST(PackTest, PackUnpackRoundTrip) {
