@@ -128,7 +128,7 @@ double now_seconds() {
 
 /// Streams kDataSets single-iteration submissions per repetition on the
 /// pipelined chain; depth 0 runs the old sequential shape (a run()
-/// loop, what run_batch did) as the host-cost reference.
+/// loop) as the host-cost reference.
 bench::HostCost sustain(const char* label, int depth, int runs,
                         double latency) {
   core::Project project(make_chain(/*pipelined=*/true));

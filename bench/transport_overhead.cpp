@@ -2,15 +2,15 @@
 // run, relative to the historical in-process fabric?
 //
 // One warm session per {configuration x backend}; the first run is the
-// cold column (machine spawn, and for shmem/tcp the fork/listener
-// setup), the mean of the rest is the warm column. Virtual-time results
+// cold column (machine spawn, and for shmem the node-process fork),
+// the mean of the rest is the warm column. Virtual-time results
 // are identical across backends by construction (the fabric resolves
 // arrival times and fault verdicts before the transport moves a byte)
 // -- the bench asserts that -- so host time is the only axis.
 //
 // The regression gate (scripts/check_bench_regression.py) pins the
 // inproc labels: the transport seam must not tax the default path. The
-// shmem/tcp labels are reported for tracking but their baselines are
+// shmem labels are reported for tracking but their baselines are
 // machine-sensitive; keep them visible, gate them only once stable.
 #include <cstdio>
 #include <map>
@@ -62,8 +62,7 @@ int main(int argc, char** argv) {
                             "x" + std::to_string(config.nodes);
     std::map<std::string, std::vector<double>> results_by_backend;
     for (const net::TransportKind kind :
-         {net::TransportKind::kInProc, net::TransportKind::kShmem,
-          net::TransportKind::kTcp}) {
+         {net::TransportKind::kInProc, net::TransportKind::kShmem}) {
       core::Project project(
           make_workspace(config.app, config.n, config.nodes));
       runtime::ExecuteOptions options;

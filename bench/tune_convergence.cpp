@@ -59,11 +59,11 @@ int main(int argc, char** argv) {
   core::Project project(apps::make_tuning_workspace(n, stages));
   runtime::ExecuteOptions options;
   options.iterations = env.iterations;
-  options.tune.enabled = true;
-  options.tune.hysteresis = 0.02;
+  runtime::TunerOptions tune;
+  tune.hysteresis = 0.02;
 
   std::unique_ptr<runtime::Session> session = project.open_session(options);
-  runtime::Tuner tuner(*session, project.registry(), options.tune);
+  runtime::Tuner tuner(*session, project.registry(), tune);
   const int nodes = session->program().config.nodes;
 
   std::printf("Online AToT convergence: bad start -> tuner -> best-known\n");

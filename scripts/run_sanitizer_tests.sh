@@ -1,8 +1,7 @@
 #!/bin/sh
 # Builds openSAGE under one sanitizer flavor and runs the suites that
-# flavor is for. Replaces the three run_{asan,tsan,ubsan}_tests.sh
-# scripts (kept as thin wrappers); the per-flavor build flags, targets,
-# env vars, and ctest filters all live here.
+# flavor is for; the per-flavor build flags, targets, env vars, and
+# ctest filters all live here.
 #
 #   asan  -- AddressSanitizer + LeakSanitizer: the memory-heavy suites
 #            (buffer-pool reuse across warm runs, striping copies, the
@@ -18,17 +17,16 @@
 #            each line and matrix, including odd transpose shapes.
 #   tsan  -- ThreadSanitizer: the concurrency-heavy suites (emulated
 #            machine dispatch handshake, fabric, MPI layer, the
-#            engine/session execution paths, the streaming executor --
+#            executor/session execution paths, the streaming executor --
 #            overlapped tickets on one machine epoch with credit flow
 #            control -- multi-session sharing of one CompiledProgram,
 #            the metrics registry's lock-free per-node shards, the
 #            serve::Server fleet: caller threads racing admission and
 #            quota accounting against worker threads realizing
-#            coalesced streaming tickets -- and the transport backends:
-#            shmem sender/drain threads around the forked node
-#            processes' rings, the TCP per-node reader threads, and the
-#            online tuner hot-swapping programs against a host thread
-#            blocked in wait()).
+#            coalesced streaming tickets -- the shmem transport's
+#            sender/drain threads around the forked node processes'
+#            rings, and the online tuner hot-swapping programs against a
+#            host thread blocked in wait()).
 #   ubsan -- UndefinedBehaviorSanitizer: the arithmetic-heavy paths
 #            (compiled transfer programs and their serialized form,
 #            striping/run-intersection math, FFT permutation and twiddle
@@ -54,11 +52,11 @@ case "$flavor" in
     ;;
   tsan)
     cmake_flag=-DSAGE_TSAN=ON
-    targets="net_test mpi_test engine_test session_test streaming_test \
+    targets="net_test mpi_test executor_test session_test streaming_test \
       fault_test viz_test metrics_test program_test random_graph_test \
       serve_test transport_test tuner_test \
       alter_test alter_script_test codegen_test codegen_golden_test"
-    filter='(Machine|Fabric|Mpi|Engine|Session|Streaming|Redistribution|WarmCold|Fault|Degraded|Metrics|Trace|Analysis|Export|Program|PlanCache|RandomChain|Diamond|Serve|Transport|Shmem|Tuner|Alter|Reader|Eval|Builtin|Emit|Vm|Codegen)'
+    filter='(Machine|Fabric|Mpi|Executor|Session|Streaming|Redistribution|WarmCold|Fault|Degraded|Metrics|Trace|Analysis|Export|Program|PlanCache|RandomChain|Diamond|Serve|Transport|Shmem|Tuner|Alter|Reader|Eval|Builtin|Emit|Vm|Codegen)'
     ;;
   ubsan)
     cmake_flag=-DSAGE_UBSAN=ON

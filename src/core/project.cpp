@@ -26,11 +26,6 @@ const codegen::GeneratedArtifacts& Project::generate() {
   return *artifacts_;
 }
 
-const codegen::GeneratedArtifacts& Project::generate(bool force) {
-  if (force) invalidate();
-  return generate();
-}
-
 runtime::ExecuteOptions Project::resolve_options_(
     runtime::ExecuteOptions options) {
   const model::ModelObject& hw = workspace_->hardware();

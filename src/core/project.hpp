@@ -28,12 +28,6 @@
 
 namespace sage::core {
 
-/// Deprecated name: Project now takes the unified option struct
-/// directly (fabric, cpu_scales, recv_timeout_s and buffer_depth are
-/// all reachable from the facade).
-using ExecuteOptions [[deprecated(
-    "use sage::runtime::ExecuteOptions")]] = runtime::ExecuteOptions;
-
 class Project {
  public:
   /// Takes ownership of a workspace (usually from a builder in
@@ -78,11 +72,6 @@ class Project {
   /// Runs the Alter glue-code generator; caches and returns the
   /// artifacts. Call invalidate() (or use edit()) after model changes.
   const codegen::GeneratedArtifacts& generate();
-
-  /// Deprecated boolean-trap form; `generate(true)` is
-  /// `invalidate(); generate();`.
-  [[deprecated("call invalidate() then generate()")]]
-  const codegen::GeneratedArtifacts& generate(bool force);
 
   /// Invalidates cached artifacts (and the compiled program lowered
   /// from them) after a model edit.

@@ -19,7 +19,7 @@ Fabric::Fabric(int node_count, FabricModel model, TransportOptions transport)
   SAGE_CHECK_AS(CommError, node_count > 0, "fabric needs at least one node");
   // The sink every backend converges on: the destination mailbox. The
   // in-process backend calls it synchronously on the sender's thread
-  // (the historical path, verbatim); shmem/tcp call it from their
+  // (the historical path, verbatim); shmem calls it from its
   // receive threads after the bytes crossed the process boundary.
   transport_ = make_transport(transport, node_count, pool_,
                               [this](int dst, Parcel&& parcel) {
@@ -294,8 +294,8 @@ std::map<std::pair<int, int>, LinkStats> Fabric::link_stats() const {
 }
 
 void Fabric::reset() {
-  // Settle the transport first: with an async backend (shmem rings,
-  // TCP), accepted messages may still be crossing the wire, and a
+  // Settle the transport first: with an async backend (shmem rings),
+  // accepted messages may still be crossing the wire, and a
   // parcel landing *after* the drain below would leak into the next
   // run's mailboxes -- breaking warm-run determinism.
   transport_->flush();

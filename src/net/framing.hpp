@@ -8,8 +8,8 @@
 //     every data payload and flow-control credit under an active
 //     FaultPlan (the checksum -- not fabric metadata -- is the
 //     receiver's integrity oracle);
-//   - the transport frames the shared-memory and TCP fabric backends
-//     wrap around every parcel that crosses a real process boundary
+//   - the transport frames the shared-memory fabric backend wraps
+//     around every parcel that crosses a real process boundary
 //     (length-prefixed so a byte-stream receiver can delimit messages,
 //     checksummed so wire corruption surfaces as a transport bug
 //     instead of silent data damage).

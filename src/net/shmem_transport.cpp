@@ -11,7 +11,7 @@ std::unique_ptr<Transport> make_shmem_transport(const TransportOptions&, int,
                                                 Transport::DeliverFn) {
   raise<CommError>(
       "the shmem transport requires Linux (futex doorbells); "
-      "use --transport inproc or tcp on this platform");
+      "use --transport inproc on this platform");
 }
 
 }  // namespace sage::net

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "net/shmem_transport.hpp"
-#include "net/tcp_transport.hpp"
 #include "support/error.hpp"
 
 namespace sage::net {
@@ -13,7 +12,6 @@ const char* to_string(TransportKind kind) {
   switch (kind) {
     case TransportKind::kInProc: return "inproc";
     case TransportKind::kShmem: return "shmem";
-    case TransportKind::kTcp: return "tcp";
   }
   return "?";
 }
@@ -21,7 +19,6 @@ const char* to_string(TransportKind kind) {
 std::optional<TransportKind> parse_transport_kind(std::string_view name) {
   if (name == "inproc") return TransportKind::kInProc;
   if (name == "shmem") return TransportKind::kShmem;
-  if (name == "tcp") return TransportKind::kTcp;
   return std::nullopt;
 }
 
@@ -103,9 +100,6 @@ std::unique_ptr<Transport> make_transport(const TransportOptions& options,
     case TransportKind::kShmem:
       return make_shmem_transport(options, node_count, pool,
                                   std::move(deliver));
-    case TransportKind::kTcp:
-      return make_tcp_transport(options, node_count, pool,
-                                std::move(deliver));
   }
   raise<CommError>("unknown transport kind");
 }

@@ -3,7 +3,7 @@
 // The Fabric owns the *model*: virtual-time cost accounting, fault
 // injection, per-link stats, and the tag-matched mailboxes receivers
 // block on. A Transport owns the *mechanism*: how an accepted parcel's
-// bytes travel from the sender to the destination mailbox. Three
+// bytes travel from the sender to the destination mailbox. Two
 // backends implement the seam:
 //
 //   kInProc -- the historical single-process fabric: the parcel (a
@@ -20,14 +20,11 @@
 //              the parent through a second ring -- every payload byte
 //              crosses two real process boundaries, and `kill -9` of a
 //              node process is a testable fault.
-//   kTcp    -- a socket mesh (loopback by default): length-prefixed
-//              frames over one TCP connection per directed link, read
-//              back by per-node receiver threads.
 //
-// All three deliver the same Parcel metadata (virtual arrival time,
+// Both deliver the same Parcel metadata (virtual arrival time,
 // fault marking, attempt index) computed by the Fabric's deterministic
 // model *before* the transport is involved, so the same CompiledProgram
-// produces bit-identical results on every backend. Serialization
+// produces bit-identical results on either backend. Serialization
 // happens only at real process boundaries: the wire format is the
 // shared 16-byte magic/len/FNV-1a framing (net/framing.hpp) followed by
 // a fixed parcel-metadata block and the payload bytes.
@@ -49,11 +46,11 @@
 namespace sage::net {
 
 /// Which mechanism moves accepted parcels to their mailboxes.
-enum class TransportKind : std::uint8_t { kInProc, kShmem, kTcp };
+enum class TransportKind : std::uint8_t { kInProc, kShmem };
 
 const char* to_string(TransportKind kind);
 
-/// Parses "inproc" / "shmem" / "tcp" (CLI spelling); nullopt otherwise.
+/// Parses "inproc" / "shmem" (CLI spelling); nullopt otherwise.
 std::optional<TransportKind> parse_transport_kind(std::string_view name);
 
 /// Backend selection plus the knobs the non-trivial backends expose.
@@ -101,7 +98,7 @@ std::size_t decode_parcel_meta(std::span<const std::byte> meta,
 
 /// The mechanism seam. deliver(dst, parcel) conveys one parcel to the
 /// destination's mailbox -- synchronously (in-process) or via a
-/// background receive path (shmem rings, TCP sockets); the constructor-
+/// background receive path (shmem rings); the constructor-
 /// provided sink is the only way parcels re-enter the Fabric. flush()
 /// blocks until every accepted parcel has reached its sink (parcels
 /// addressed to a dead node process are abandoned), so Fabric::reset()
@@ -110,7 +107,7 @@ class Transport {
  public:
   /// Pushes a received parcel into `dst`'s mailbox. Thread-safe (the
   /// mailboxes are mutex-guarded); called from sender threads (inproc)
-  /// or transport receiver threads (shmem/tcp).
+  /// or transport receiver threads (shmem).
   using DeliverFn = std::function<void(int dst, Parcel&&)>;
 
   virtual ~Transport() = default;
@@ -118,8 +115,7 @@ class Transport {
   virtual TransportKind kind() const = 0;
 
   /// Accepts one parcel for `dst`. Throws sage::CommError when the
-  /// destination's transport endpoint is gone (dead node process,
-  /// closed socket).
+  /// destination's transport endpoint is gone (dead node process).
   virtual void deliver(int dst, Parcel&& parcel) = 0;
 
   /// Blocks until every accepted parcel has been handed to the sink
@@ -146,7 +142,7 @@ class Transport {
 /// Builds the backend selected by `options`. `pool` allocates the
 /// pooled payloads re-materialized on the receive side; `deliver` is
 /// the fabric's mailbox sink. Throws sage::CommError when the backend
-/// cannot come up (fork/mmap/socket failure).
+/// cannot come up (fork/mmap failure).
 std::unique_ptr<Transport> make_transport(const TransportOptions& options,
                                           int node_count, BufferPool& pool,
                                           Transport::DeliverFn deliver);

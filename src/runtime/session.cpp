@@ -131,7 +131,7 @@ void copy_bytes(const std::vector<ByteSeg>& segs,
 // whose byte flips happen to cancel leaves the payload intact and is
 // rightly accepted. The format (magic u32 | payload length u32 | FNV-1a
 // u64) is the shared wire framing in net/framing.hpp, the same one the
-// shmem/TCP transport backends put on every cross-process parcel.
+// shmem transport backend puts on every cross-process parcel.
 
 using net::fnv1a_accum;
 using net::frame_valid;
@@ -793,7 +793,7 @@ Ticket Session::submit_(const RunOverrides& request, bool streaming) {
     lock.unlock();
     end_epoch_();
     // Synchronous runs always open a private epoch: the full
-    // cold-equivalent reset is the run()/run_batch() contract.
+    // cold-equivalent reset is the run() contract.
     begin_epoch_(ticket->params, streaming);
     lock.lock();
   }
@@ -808,15 +808,6 @@ Ticket Session::submit_(const RunOverrides& request, bool streaming) {
 RunStats Session::run(const RunOverrides& request) {
   SAGE_CHECK_AS(RuntimeError, !closed(), "Session::run on a closed session");
   return wait(submit_(request, /*streaming=*/false));
-}
-
-std::vector<RunStats> Session::run_batch(int runs, const RunOverrides& request) {
-  SAGE_CHECK_AS(RuntimeError, runs > 0, "run_batch needs runs > 0, got ",
-                runs);
-  std::vector<RunStats> all;
-  all.reserve(static_cast<std::size_t>(runs));
-  for (int i = 0; i < runs; ++i) all.push_back(run(request));
-  return all;
 }
 
 Ticket Session::submit(const RunOverrides& request) {

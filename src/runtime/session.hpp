@@ -36,12 +36,12 @@
 // with credit-based flow control (ring bounds computed by the compiler,
 // see TransferOp::ring_depth) keeping every producer at most k
 // iterations ahead of its consumers. The steady-state period is then
-// set by the slowest stage, not the whole chain. run()/run_batch() are
-// thin synchronous wrappers over submit()+wait().
+// set by the slowest stage, not the whole chain. run() is a thin
+// synchronous wrapper over submit()+wait().
 //
 // Lifecycle: create -> run()/submit()* -> close (or destruction). Each
-// synchronous run is bit-equivalent to a cold engine run: virtual
-// clocks restart at zero, the fabric is drained and its totals zeroed,
+// synchronous run is bit-equivalent to a cold run: virtual clocks
+// restart at zero, the fabric is drained and its totals zeroed,
 // trace buffers and result series are cleared, and staging memory is
 // rezeroed. Overlapped submissions keep bit-identical *results*
 // (checksums) -- flow-control traffic and virtual times may differ from
@@ -74,30 +74,9 @@ enum class BufferPolicy { kUniquePerFunction, kShared };
 
 std::string to_string(BufferPolicy policy);
 
-/// Online-tuning knobs, consumed by runtime::Tuner (tuner.hpp), which
-/// closes the measure -> re-map -> hot-swap loop over a live Session.
-/// Plain values only: the executor layer stays independent of the atot
-/// mapper that interprets them.
-struct TunerOptions {
-  /// Master switch for CLI/bench drivers (the Tuner class itself works
-  /// regardless of this flag).
-  bool enabled = false;
-  /// Seed for the per-step re-mapping GA. Together with the observed
-  /// calibration profile it fully determines every tuning decision.
-  std::uint64_t seed = 0x5A6E2000u;
-  /// Minimum predicted objective gain ratio,
-  /// (incumbent - candidate) / incumbent, before a hot-swap is worth
-  /// its cost; smaller predicted wins hold the incumbent.
-  double hysteresis = 0.05;
-  /// GA size overrides for the per-step re-map (0: mapper defaults).
-  int population = 0;
-  int generations = 0;
-};
-
-/// The unified execution option set, shared by runtime::Session,
-/// runtime::Engine, and the core::Project facade (which derives the
-/// fabric model and CPU scales from the hardware model for any field
-/// left unset).
+/// The unified execution option set, shared by runtime::Session and the
+/// core::Project facade (which derives the fabric model and CPU scales
+/// from the hardware model for any field left unset).
 struct ExecuteOptions {
   BufferPolicy buffer_policy = BufferPolicy::kUniquePerFunction;
   /// Iterations per run; -1 uses the config's iterations-default.
@@ -116,17 +95,17 @@ struct ExecuteOptions {
   /// metric (the paper's "violated latency thresholds"). 0 disables.
   support::VirtualSeconds latency_threshold = 0.0;
   /// Interconnect model. Unset: the Project facade derives it from the
-  /// hardware model; a bare Session/Engine falls back to the CSPI-like
+  /// hardware model; a bare Session falls back to the CSPI-like
   /// net::myrinet_fabric().
   std::optional<net::FabricModel> fabric;
   /// Per-node CPU scale (empty: the Project facade derives from the
-  /// hardware model; a bare Session/Engine uses 1.0 everywhere).
+  /// hardware model; a bare Session uses 1.0 everywhere).
   std::vector<double> cpu_scales;
   /// Which mechanism carries fabric messages (see net/transport.hpp):
   /// the in-process zero-copy path (default), shared-memory rings
-  /// between forked node processes, or TCP loopback sockets. The
-  /// compiled program, flow control, and fault verdicts are
-  /// transport-blind -- results are bit-identical across backends.
+  /// between forked node processes. The compiled program, flow
+  /// control, and fault verdicts are transport-blind -- results are
+  /// bit-identical across backends.
   net::TransportOptions transport;
   /// Host wall-clock budget for each blocking receive; expired waits
   /// throw sage::CommError (schedule bugs surface as failures, not
@@ -155,10 +134,6 @@ struct ExecuteOptions {
   /// dead nodes trigger a degraded-mode remap before the run (see
   /// Session::recover()).
   std::shared_ptr<const net::FaultPlan> fault_plan;
-  /// Online-tuning knobs (see TunerOptions). The session itself only
-  /// carries them; runtime::Tuner and the sagec/bench drivers act on
-  /// them.
-  TunerOptions tune;
 };
 
 /// Fault-injection and recovery counters for one run. All counters are
@@ -258,8 +233,8 @@ struct RunStats {
 /// The per-run-overridable parameter subset, in optional form: a field
 /// left unset inherits the session's ExecuteOptions value. One struct
 /// serves both the streaming submit() surface and the synchronous
-/// run()/run_batch() wrappers (RunRequest is the deprecated alias);
-/// ExecuteOptions carries the same fields in plain resolved form.
+/// run() wrapper; ExecuteOptions carries the same fields in plain
+/// resolved form.
 struct RunOverrides {
   /// Iterations for this run; 0 inherits the session default.
   int iterations = 0;
@@ -274,11 +249,6 @@ struct RunOverrides {
   /// nullptr disables faults for this run.
   std::optional<std::shared_ptr<const net::FaultPlan>> fault_plan;
 };
-
-/// Deprecated spelling of RunOverrides, from when the struct was
-/// specific to the synchronous run() path.
-using RunRequest [[deprecated(
-    "use sage::runtime::RunOverrides")]] = RunOverrides;
 
 /// Handle to one streamed submission; redeem with Session::poll /
 /// Session::wait. Value-semantic and cheap (an id).
@@ -343,15 +313,8 @@ class Session {
   /// Executes one run on the warm machine and reports its stats.
   /// Synchronous wrapper over submit()+wait(): quiesces any in-flight
   /// streaming work first, so every run() stays bit-equivalent to a
-  /// cold engine run.
+  /// cold run.
   RunStats run(const RunOverrides& request = {});
-
-  /// Deprecated convenience: `runs` consecutive (non-overlapped) warm
-  /// runs, one RunStats each. Use submit()/wait() -- or drain() -- to
-  /// overlap data sets instead of serializing them.
-  [[deprecated(
-      "use Session::submit/wait (streaming) or loop Session::run")]]
-  std::vector<RunStats> run_batch(int runs, const RunOverrides& request = {});
 
   // --- streaming ------------------------------------------------------------
   /// Enqueues one data-set run and returns immediately with a ticket.
@@ -372,8 +335,8 @@ class Session {
   /// A ticket already redeemed by wait()/drain() is *collected*, not
   /// pending: polling it throws the same "unknown or already-collected
   /// ticket" sage::RuntimeError as wait() would (pinned in
-  /// compat_test.cpp) -- completion state lives exactly as long as the
-  /// ticket is redeemable.
+  /// streaming_test.cpp) -- completion state lives exactly as long as
+  /// the ticket is redeemable.
   /// Throws sage::RuntimeError for unknown or already-collected ids.
   bool poll(Ticket ticket) const;
 

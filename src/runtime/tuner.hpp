@@ -45,6 +45,21 @@
 
 namespace sage::runtime {
 
+/// Online-tuning knobs. Plain values only: the executor layer stays
+/// independent of the atot mapper that interprets them.
+struct TunerOptions {
+  /// Seed for the per-step re-mapping GA. Together with the observed
+  /// calibration profile it fully determines every tuning decision.
+  std::uint64_t seed = 0x5A6E2000u;
+  /// Minimum predicted objective gain ratio,
+  /// (incumbent - candidate) / incumbent, before a hot-swap is worth
+  /// its cost; smaller predicted wins hold the incumbent.
+  double hysteresis = 0.05;
+  /// GA size overrides for the per-step re-map (0: mapper defaults).
+  int population = 0;
+  int generations = 0;
+};
+
 /// What one Tuner::step() decided, and why.
 struct TuneStepReport {
   int step = 0;

@@ -80,7 +80,7 @@ template <typename E = Error, typename... Parts>
 /// Non-throwing result carrier for construction-style APIs: either a
 /// value or a human-readable error message. Lets callers (CLIs, tests,
 /// validators) report config problems without exceptions as control
-/// flow -- see runtime::Session::create / Engine::create.
+/// flow -- see runtime::Session::create.
 template <typename T>
 class Result {
  public:

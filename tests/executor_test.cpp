@@ -1,13 +1,14 @@
-// Runtime-engine tests: hand-built glue configurations exercising
-// sequencing, striping delivery, replication, parameters, buffer
-// policies, results aggregation, and failure modes.
+// Executor tests: hand-built glue configurations run through
+// runtime::Session, exercising sequencing, striping delivery,
+// replication, parameters, buffer policies, results aggregation, and
+// failure modes.
 #include <gtest/gtest.h>
 
 #include <numeric>
 
-#include "runtime/engine.hpp"
 #include "runtime/glue_config.hpp"
 #include "runtime/registry.hpp"
+#include "runtime/session.hpp"
 #include "support/error.hpp"
 
 namespace sage::runtime {
@@ -135,8 +136,8 @@ TEST_P(RedistributionTest, DeliversEveryElementToTheRightPlace) {
   GlueConfig config = two_stage_config(
       param.nodes, param.threads, param.src_striping, param.src_dim,
       param.dst_striping, param.dst_dim, dims);
-  Engine engine(config, test_registry());
-  const RunStats stats = engine.run();
+  Session session(config, test_registry());
+  const RunStats stats = session.run();
 
   const double per_thread_total = expected_index_sum(dims);
   const int sink_threads =
@@ -186,7 +187,7 @@ INSTANTIATE_TEST_SUITE_P(
         RedistributionCase{model::Striping::kStriped, 0,
                            model::Striping::kStriped, 0, 4, 2}));
 
-TEST(EngineTest, ThreeDimensionalMiddleAxisRedistribution) {
+TEST(ExecutorTest, ThreeDimensionalMiddleAxisRedistribution) {
   // {4, 8, 6} cube: produced striped along the middle axis, consumed
   // striped along the last -- the STAP-style cube corner turn.
   GlueConfig config = two_stage_config(2, 4, model::Striping::kStriped, 1,
@@ -195,24 +196,24 @@ TEST(EngineTest, ThreeDimensionalMiddleAxisRedistribution) {
   // dims[2] = 6 doesn't divide over 4 threads; use 2 threads for dim 2.
   config.functions[1].threads = 2;
   config.functions[1].thread_nodes = {0, 1};
-  Engine engine(config, test_registry());
-  const RunStats stats = engine.run();
+  Session session(config, test_registry());
+  const RunStats stats = session.run();
   EXPECT_NEAR(stats.results.at("sink")[0], expected_index_sum({4, 8, 6}),
               1.0);
 }
 
-TEST(EngineTest, ThreeDimensionalReplicationFanOut) {
+TEST(ExecutorTest, ThreeDimensionalReplicationFanOut) {
   GlueConfig config = two_stage_config(2, 2, model::Striping::kStriped, 2,
                                        model::Striping::kReplicated, 0,
                                        {2, 3, 4});
-  Engine engine(config, test_registry());
-  const RunStats stats = engine.run();
+  Session session(config, test_registry());
+  const RunStats stats = session.run();
   // Every sink thread sees the whole cube.
   EXPECT_NEAR(stats.results.at("sink")[0],
               2.0 * expected_index_sum({2, 3, 4}), 1.0);
 }
 
-TEST(EngineTest, ProducerConsumerThreadCountsMayDiffer) {
+TEST(ExecutorTest, ProducerConsumerThreadCountsMayDiffer) {
   // 8-thread producer feeding a 2-thread consumer: only possible when
   // the two functions declare their own thread counts.
   const std::vector<std::size_t> dims{16, 8};
@@ -254,17 +255,17 @@ TEST(EngineTest, ProducerConsumerThreadCountsMayDiffer) {
   config.schedule[0] = {0, 1};
   config.schedule[1] = {0, 1};
 
-  Engine engine(config, test_registry());
-  const RunStats stats = engine.run();
+  Session session(config, test_registry());
+  const RunStats stats = session.run();
   EXPECT_NEAR(stats.results.at("sink")[0], expected_index_sum(dims), 1.0);
 }
 
-TEST(EngineTest, MultipleIterationsProduceIndependentResults) {
+TEST(ExecutorTest, MultipleIterationsProduceIndependentResults) {
   GlueConfig config = two_stage_config(2, 2, model::Striping::kStriped, 0,
                                        model::Striping::kStriped, 0, {8, 8});
   config.iterations_default = 5;
-  Engine engine(config, test_registry());
-  const RunStats stats = engine.run();
+  Session session(config, test_registry());
+  const RunStats stats = session.run();
   ASSERT_EQ(stats.results.at("sink").size(), 5u);
   for (double v : stats.results.at("sink")) {
     EXPECT_NEAR(v, expected_index_sum({8, 8}), 1.0);
@@ -273,7 +274,7 @@ TEST(EngineTest, MultipleIterationsProduceIndependentResults) {
   EXPECT_GT(stats.period, 0.0);
 }
 
-TEST(EngineTest, BothBufferPoliciesDeliverIdenticalData) {
+TEST(ExecutorTest, BothBufferPoliciesDeliverIdenticalData) {
   for (const BufferPolicy policy :
        {BufferPolicy::kUniquePerFunction, BufferPolicy::kShared}) {
     GlueConfig config = two_stage_config(4, 4, model::Striping::kStriped, 0,
@@ -281,15 +282,15 @@ TEST(EngineTest, BothBufferPoliciesDeliverIdenticalData) {
                                          {16, 16});
     ExecuteOptions options;
     options.buffer_policy = policy;
-    Engine engine(config, test_registry(), options);
-    const RunStats stats = engine.run();
+    Session session(config, test_registry(), options);
+    const RunStats stats = session.run();
     EXPECT_NEAR(stats.results.at("sink")[0], expected_index_sum({16, 16}),
                 1.0)
         << to_string(policy);
   }
 }
 
-TEST(EngineTest, UniquePolicyCostsMoreThanShared) {
+TEST(ExecutorTest, UniquePolicyCostsMoreThanShared) {
   // The paper's 2-node corner-turn anomaly: unique logical buffers add
   // data access time. Use a large buffer so copy costs dominate noise.
   GlueConfig config = two_stage_config(2, 2, model::Striping::kStriped, 0,
@@ -305,11 +306,11 @@ TEST(EngineTest, UniquePolicyCostsMoreThanShared) {
   auto copy_time = [&](BufferPolicy policy) {
     ExecuteOptions options;
     options.buffer_policy = policy;
-    Engine engine(config, test_registry(), options);
-    engine.run();  // warm-up: first-touch page faults land here
+    Session session(config, test_registry(), options);
+    session.run();  // warm-up: first-touch page faults land here
     double best = -1.0;
     for (int i = 0; i < 3; ++i) {
-      const RunStats stats = engine.run();
+      const RunStats stats = session.run();
       double total = 0.0;
       for (const viz::Event& e : stats.trace.events()) {
         if (e.kind == viz::EventKind::kSend ||
@@ -326,7 +327,7 @@ TEST(EngineTest, UniquePolicyCostsMoreThanShared) {
   EXPECT_GT(unique, shared * 1.2);
 }
 
-TEST(EngineTest, KernelParametersReachTheKernel) {
+TEST(ExecutorTest, KernelParametersReachTheKernel) {
   GlueConfig config = two_stage_config(1, 1, model::Striping::kStriped, 0,
                                        model::Striping::kStriped, 0, {4, 4});
   // Splice a threshold stage's params through a custom kernel.
@@ -341,41 +342,41 @@ TEST(EngineTest, KernelParametersReachTheKernel) {
   config.functions[0].kernel = "test.param_source";
   config.functions[1].kernel = "test.sum_sink";
 
-  Engine engine(config, registry);
-  const RunStats stats = engine.run();
+  Session session(config, registry);
+  const RunStats stats = session.run();
   EXPECT_NEAR(stats.results.at("sink")[0], 2.5 * 16, 1e-3);
 }
 
-TEST(EngineTest, MissingKernelIsALoadError) {
+TEST(ExecutorTest, MissingKernelIsALoadError) {
   GlueConfig config = two_stage_config(1, 1, model::Striping::kStriped, 0,
                                        model::Striping::kStriped, 0, {4, 4});
   config.functions[0].kernel = "no.such.kernel";
-  EXPECT_THROW(Engine(config, test_registry()), RuntimeError);
+  EXPECT_THROW(Session(config, test_registry()), RuntimeError);
 }
 
-TEST(EngineTest, MismatchedBufferSizesAreAConfigError) {
+TEST(ExecutorTest, MismatchedBufferSizesAreAConfigError) {
   GlueConfig config = two_stage_config(1, 1, model::Striping::kStriped, 0,
                                        model::Striping::kStriped, 0, {4, 4});
   config.functions[1].ports[0].dims = {4, 8};  // consumer expects more
-  EXPECT_THROW(Engine(config, test_registry()), ConfigError);
+  EXPECT_THROW(Session(config, test_registry()), ConfigError);
 }
 
-TEST(EngineTest, ScheduleMissingAFunctionIsAConfigError) {
+TEST(ExecutorTest, ScheduleMissingAFunctionIsAConfigError) {
   GlueConfig config = two_stage_config(2, 2, model::Striping::kStriped, 0,
                                        model::Striping::kStriped, 0, {4, 4});
   config.schedule[1] = {0};  // sink missing on node 1
-  EXPECT_THROW(Engine(config, test_registry()), ConfigError);
+  EXPECT_THROW(Session(config, test_registry()), ConfigError);
 }
 
-TEST(EngineTest, BoundedBuffersPreserveResults) {
+TEST(ExecutorTest, BoundedBuffersPreserveResults) {
   GlueConfig config = two_stage_config(4, 4, model::Striping::kStriped, 0,
                                        model::Striping::kStriped, 1, {16, 16});
   config.iterations_default = 6;
   for (const int depth : {1, 2, 3}) {
     ExecuteOptions options;
     options.buffer_depth = depth;
-    Engine engine(config, test_registry(), options);
-    const RunStats stats = engine.run();
+    Session session(config, test_registry(), options);
+    const RunStats stats = session.run();
     for (double v : stats.results.at("sink")) {
       EXPECT_NEAR(v, expected_index_sum({16, 16}), 1.0) << "depth " << depth;
     }
@@ -383,7 +384,7 @@ TEST(EngineTest, BoundedBuffersPreserveResults) {
   }
 }
 
-TEST(EngineTest, BackpressureThrottlesAPipelinedProducer) {
+TEST(ExecutorTest, BackpressureThrottlesAPipelinedProducer) {
   // Stage chain src -> sink with the two on different nodes and a slow
   // sink. Unbounded, the producer races ahead (its virtual finish time
   // is set by its own work); with depth 1 it is credit-throttled to the
@@ -442,8 +443,8 @@ TEST(EngineTest, BackpressureThrottlesAPipelinedProducer) {
     ExecuteOptions options;
     options.buffer_depth = depth;
     options.collect_trace = false;
-    Engine engine(config, registry, options);
-    RunStats stats = engine.run();
+    Session session(config, registry, options);
+    RunStats stats = session.run();
     // All correctness intact either way.
     EXPECT_NEAR(stats.results.at("sink").back(),
                 expected_index_sum(dims), 2.0);
@@ -456,7 +457,7 @@ TEST(EngineTest, BackpressureThrottlesAPipelinedProducer) {
   EXPECT_GT(bounded.fabric_messages, unbounded.fabric_messages);
 }
 
-TEST(EngineTest, KernelExceptionPropagatesToCaller) {
+TEST(ExecutorTest, KernelExceptionPropagatesToCaller) {
   GlueConfig config = two_stage_config(2, 2, model::Striping::kStriped, 0,
                                        model::Striping::kStriped, 0, {4, 4});
   FunctionRegistry registry = test_registry();
@@ -466,11 +467,11 @@ TEST(EngineTest, KernelExceptionPropagatesToCaller) {
   config.functions[0].kernel = "test.bomb";
   ExecuteOptions options;
   options.recv_timeout_s = 2.0;  // peers stuck on the dead producer
-  Engine engine(config, registry, options);
-  EXPECT_THROW(engine.run(), Error);
+  Session session(config, registry, options);
+  EXPECT_THROW(session.run(), Error);
 }
 
-TEST(EngineTest, WrongScheduleOrderIsDetectedAsDeadlock) {
+TEST(ExecutorTest, WrongScheduleOrderIsDetectedAsDeadlock) {
   // Three corner-turning stages; node 1 runs them in reverse. Node 0's
   // mid stage waits for node 1's source while node 1's sink waits for
   // node 0's mid stage -- a cross-node cycle. The recv timeout turns
@@ -505,28 +506,28 @@ TEST(EngineTest, WrongScheduleOrderIsDetectedAsDeadlock) {
   ExecuteOptions options;
   options.recv_timeout_s = 0.3;
   options.collect_trace = false;
-  Engine engine(config, test_registry(), options);
-  EXPECT_THROW(engine.run(), CommError);
+  Session session(config, test_registry(), options);
+  EXPECT_THROW(session.run(), CommError);
 }
 
-TEST(EngineTest, ContentionFabricStillDeliversCorrectData) {
+TEST(ExecutorTest, ContentionFabricStillDeliversCorrectData) {
   GlueConfig config = two_stage_config(8, 8, model::Striping::kStriped, 0,
                                        model::Striping::kStriped, 1, {16, 16});
   ExecuteOptions options;
   net::FabricModel contended = net::myrinet_fabric();
   contended.model_contention = true;
   options.fabric = contended;
-  Engine engine(config, test_registry(), options);
-  const RunStats stats = engine.run();
+  Session session(config, test_registry(), options);
+  const RunStats stats = session.run();
   EXPECT_NEAR(stats.results.at("sink")[0], expected_index_sum({16, 16}), 1.0);
 }
 
-TEST(EngineTest, TraceCoversEveryFunctionInvocation) {
+TEST(ExecutorTest, TraceCoversEveryFunctionInvocation) {
   GlueConfig config = two_stage_config(2, 2, model::Striping::kStriped, 0,
                                        model::Striping::kStriped, 0, {8, 8});
   config.iterations_default = 2;
-  Engine engine(config, test_registry());
-  const RunStats stats = engine.run();
+  Session session(config, test_registry());
+  const RunStats stats = session.run();
   int starts = 0;
   for (const viz::Event& e : stats.trace.events()) {
     if (e.kind == viz::EventKind::kFunctionStart) ++starts;
@@ -535,13 +536,13 @@ TEST(EngineTest, TraceCoversEveryFunctionInvocation) {
   EXPECT_EQ(starts, 8);
 }
 
-TEST(EngineTest, SelectiveProbesRestrictFunctionEvents) {
+TEST(ExecutorTest, SelectiveProbesRestrictFunctionEvents) {
   GlueConfig config = two_stage_config(2, 2, model::Striping::kStriped, 0,
                                        model::Striping::kStriped, 0, {8, 8});
   config.iterations_default = 2;
   config.probes = {1};  // only the sink is instrumented
-  Engine engine(config, test_registry());
-  const RunStats stats = engine.run();
+  Session session(config, test_registry());
+  const RunStats stats = session.run();
   int starts = 0;
   for (const viz::Event& e : stats.trace.events()) {
     if (e.kind == viz::EventKind::kFunctionStart) {
@@ -555,11 +556,11 @@ TEST(EngineTest, SelectiveProbesRestrictFunctionEvents) {
   EXPECT_NEAR(stats.results.at("sink")[0], expected_index_sum({8, 8}), 1.0);
 }
 
-TEST(EngineTest, ProbeIdOutOfRangeRejected) {
+TEST(ExecutorTest, ProbeIdOutOfRangeRejected) {
   GlueConfig config = two_stage_config(1, 1, model::Striping::kStriped, 0,
                                        model::Striping::kStriped, 0, {4, 4});
   config.probes = {7};
-  EXPECT_THROW(Engine(config, test_registry()), ConfigError);
+  EXPECT_THROW(Session(config, test_registry()), ConfigError);
 }
 
 }  // namespace

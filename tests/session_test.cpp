@@ -1,6 +1,6 @@
 // Warm-session tests: the central invariant is that N warm runs on one
 // runtime::Session are *indistinguishable in virtual-time results* from
-// N cold runs on freshly constructed engines -- same sink checksums
+// N cold runs on freshly constructed sessions -- same sink checksums
 // bit-for-bit, same fabric message/byte totals, same structure -- for
 // both buffer policies and with credit flow control enabled. Virtual
 // *times* are measured from host CPU time, so they vary run to run on
@@ -13,7 +13,6 @@
 
 #include "apps/benchmarks.hpp"
 #include "core/project.hpp"
-#include "runtime/engine.hpp"
 #include "runtime/session.hpp"
 #include "support/error.hpp"
 
@@ -61,7 +60,7 @@ TEST_P(WarmColdDeterminismTest, WarmRunsMatchColdRunsExactly) {
   ASSERT_EQ(warm.size(), static_cast<std::size_t>(kRuns));
   EXPECT_EQ(session->runs_completed(), kRuns);
 
-  // Cold path: a fresh session per run (the old Engine::run shape).
+  // Cold path: a fresh session per run.
   core::Project cold_project(make_workspace(param.app));
   for (int r = 0; r < kRuns; ++r) {
     const RunStats cold = cold_project.execute(options_of(param));
@@ -145,25 +144,6 @@ TEST(SessionTest, DataPlaneCountersTrackTraffic) {
   EXPECT_GT(stats.data_plane.bytes_moved, 0u);
   EXPECT_GE(stats.data_plane.bytes_moved, stats.fabric_bytes);
   EXPECT_GT(stats.data_plane.pool_blocks, 0u);
-}
-
-TEST(SessionTest, EngineWrapperMatchesSession) {
-  core::Project project(make_workspace("cornerturn"));
-  ExecuteOptions options;
-  options.iterations = 2;
-  options.collect_trace = false;
-
-  auto session = project.open_session(options);
-  const RunStats from_session = session->run();
-
-  const codegen::GeneratedArtifacts& artifacts = project.generate();
-  Engine engine(artifacts.config, project.registry(),
-                session->options());  // resolved options, same platform
-  const RunStats from_engine = engine.run();
-
-  EXPECT_EQ(from_session.results, from_engine.results);
-  EXPECT_EQ(from_session.fabric_messages, from_engine.fabric_messages);
-  EXPECT_EQ(from_session.fabric_bytes, from_engine.fabric_bytes);
 }
 
 TEST(SessionTest, RunOverridesApplyPerRunOnly) {

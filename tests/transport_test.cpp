@@ -1,11 +1,11 @@
 // Cross-backend transport suite: the same CompiledProgram must produce
-// bit-identical results over the in-process fabric, the shared-memory
-// rings between forked node processes, and the TCP loopback mesh --
-// fresh and warm, clean and under an active FaultPlan. Plus the
-// Fabric::reset() contract regression tests (a warm re-run after a
-// faulted run reports zeroed counters, never carried-over ones) and the
-// kill -9 drill: SIGKILL of a real shmem node process surfaces as
-// CommError and hands off to the existing recover() machinery.
+// bit-identical results over the in-process fabric and the shared-memory
+// rings between forked node processes -- fresh and warm, clean and under
+// an active FaultPlan. Plus the Fabric::reset() contract regression
+// tests (a warm re-run after a faulted run reports zeroed counters,
+// never carried-over ones) and the kill -9 drill: SIGKILL of a real
+// shmem node process surfaces as CommError and hands off to the
+// existing recover() machinery.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -36,7 +36,7 @@ using runtime::RunStats;
 
 TEST(TransportKindTest, ParseRoundTripsEveryBackend) {
   for (const TransportKind kind :
-       {TransportKind::kInProc, TransportKind::kShmem, TransportKind::kTcp}) {
+       {TransportKind::kInProc, TransportKind::kShmem}) {
     const auto parsed = net::parse_transport_kind(net::to_string(kind));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, kind);
@@ -73,7 +73,7 @@ TEST(TransportKindTest, ParcelMetaRoundTrips) {
 }
 
 // --- cross-backend bit-identity matrix --------------------------------------
-// fft2d + cornerturn x {inproc, shmem, tcp} x {fresh, warm} x {clean,
+// fft2d + cornerturn x {inproc, shmem} x {fresh, warm} x {clean,
 // FaultPlan}: identical sink checksums and identical deterministic
 // counters everywhere. The fabric computes arrival times, fault
 // verdicts, and stats before the transport moves a byte, so nothing
@@ -139,7 +139,7 @@ TEST_P(TransportMatrixTest, BackendsProduceBitIdenticalRuns) {
   // Reference: the historical in-process path.
   std::vector<RunSignature> reference;  // fresh, warm
   for (const TransportKind kind :
-       {TransportKind::kInProc, TransportKind::kShmem, TransportKind::kTcp}) {
+       {TransportKind::kInProc, TransportKind::kShmem}) {
     core::Project project(make_workspace(param.app));
     auto session =
         project.open_session(matrix_options(kind, param.faulty));

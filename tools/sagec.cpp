@@ -19,7 +19,7 @@
 //       serialized plan blob
 //   sagec run <model-file> [-i iterations] [-r runs]
 //             [--policy unique|shared] [--depth d] [--trace file.json]
-//             [--plan-cache dir] [--transport inproc|shmem|tcp]
+//             [--plan-cache dir] [--transport inproc|shmem]
 //             [--fault-plan plan.txt] [--fault-seed N]
 //       generate and execute on the emulated platform through a warm
 //       run-time session (-r N streams N-1 further data sets through
@@ -29,9 +29,9 @@
 //       summary and host cost. --fault-plan attaches a
 //       deterministic fault schedule (see net/fault.hpp for the
 //       format); --fault-seed overrides the plan's seed. --transport
-//       picks the byte-moving backend (in-process queues, shared-memory
-//       rings between forked node processes, or TCP loopback sockets);
-//       results are bit-identical across all three.
+//       picks the byte-moving backend (in-process queues, or shared-
+//       memory rings between forked node processes); results are
+//       bit-identical across both.
 //   sagec stats <model-file|quickstart|radar|fft2d|cornerturn>
 //             [-i iterations] [--run N] [--threshold seconds]
 //             [--format text|prom|csv|chrome] [-o file]
@@ -104,13 +104,13 @@ using namespace sage;
                "  compile <model-file> [--plan-cache dir] [-o file.plan]\n"
                "  run <model-file> [-i iters] [-r runs] [--policy unique|shared]"
                " [--depth d] [--trace file.json] [--plan-cache dir]"
-               " [--transport inproc|shmem|tcp]"
+               " [--transport inproc|shmem]"
                " [--fault-plan plan.txt] [--fault-seed N]\n"
                "  stats <model-file|quickstart|radar|fft2d|cornerturn>"
                " [-i iters] [--run N]\n"
                "        [--threshold seconds] [--format text|prom|csv|chrome]"
                " [-o file]\n"
-               "        [--transport inproc|shmem|tcp]"
+               "        [--transport inproc|shmem]"
                " [--fault-plan plan.txt] [--fault-seed N]\n"
                "  tune <model-file|hetero|quickstart|radar|fft2d|cornerturn>"
                " [--steps N] [--seed S]\n"
@@ -124,7 +124,7 @@ using namespace sage;
                " [--seed S]\n"
                "        [--tenants T] [--quota Q] [-i iters]"
                " [--plan-cache dir]\n"
-               "        [--transport inproc|shmem|tcp]"
+               "        [--transport inproc|shmem]"
                " [--format text|prom|csv] [-o file]\n");
   std::exit(2);
 }
@@ -246,18 +246,27 @@ double flag_double(const Args& args, const std::string& name,
   return parsed;
 }
 
-/// `--transport inproc|shmem|tcp`: which mechanism moves the bytes.
+/// `--transport inproc|shmem`: which mechanism moves the bytes.
 /// The default is the historical in-process fabric.
 net::TransportOptions flag_transport(const Args& args) {
   const std::string name = args.flag_or("transport", "inproc");
   const auto kind = net::parse_transport_kind(name);
   if (!kind.has_value()) {
     raise<Error>("flag --transport: unknown backend '", name,
-                 "' (want inproc, shmem, or tcp)");
+                 "' (want inproc or shmem)");
   }
   net::TransportOptions transport;
   transport.kind = *kind;
   return transport;
+}
+
+/// `--policy unique|shared`: the buffer-management policy.
+runtime::BufferPolicy flag_policy(const Args& args) {
+  const std::string name = args.flag_or("policy", "unique");
+  if (name == "unique") return runtime::BufferPolicy::kUniquePerFunction;
+  if (name == "shared") return runtime::BufferPolicy::kShared;
+  raise<Error>("flag --policy: unknown policy '", name,
+               "' (want unique or shared)");
 }
 
 /// Builds one of the ready-made designs by name, or returns nullptr.
@@ -421,10 +430,7 @@ int cmd_run(const Args& args) {
   options.iterations = flag_int(args, "i", "3", 1, 1000000);
   options.buffer_depth = flag_int(args, "depth", "0", 0, 1000000);
   options.transport = flag_transport(args);
-  const std::string policy = args.flag_or("policy", "unique");
-  options.buffer_policy = (policy == "shared")
-                              ? runtime::BufferPolicy::kShared
-                              : runtime::BufferPolicy::kUniquePerFunction;
+  options.buffer_policy = flag_policy(args);
   const int runs = flag_int(args, "r", "1", 1, 1000000);
 
   const std::string plan_path = args.flag_or("fault-plan", "");
@@ -614,15 +620,15 @@ int cmd_tune(const Args& args) {
   runtime::ExecuteOptions options;
   options.plan_cache_dir = args.flag_or("plan-cache", "");
   options.iterations = flag_int(args, "i", "3", 1, 1000000);
-  options.tune.enabled = true;
+  runtime::TunerOptions tune;
   if (!args.flag_or("seed", "").empty()) {
-    options.tune.seed = flag_u64(args, "seed", "");
+    tune.seed = flag_u64(args, "seed", "");
   }
-  options.tune.hysteresis = flag_double(args, "hysteresis", "0.05", 0.0, 1.0);
+  tune.hysteresis = flag_double(args, "hysteresis", "0.05", 0.0, 1.0);
   const int steps = flag_int(args, "steps", "4", 1, 10000);
 
   auto session = project.open_session(options);
-  runtime::Tuner tuner(*session, project.registry(), options.tune);
+  runtime::Tuner tuner(*session, project.registry(), tune);
 
   runtime::RunStats stats = session->run();
   const double start_span = stats.makespan;
