@@ -3,6 +3,9 @@
 // cloning.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "apps/benchmarks.hpp"
 #include "core/platforms.hpp"
 #include "core/project.hpp"
@@ -24,6 +27,23 @@ TEST(ProjectTest, GenerationIsCachedUntilInvalidated) {
   // ...until invalidated.
   project.invalidate();
   EXPECT_EQ(project.generate().config.iterations_default, 9);
+}
+
+TEST(ProjectTest, InvalidateThenGenerateRebuildsIdenticalArtifacts) {
+  // Forcing regeneration of an unchanged model is invalidate() then
+  // generate(): every generated file comes back byte-identical, and a
+  // session opened afterwards runs the same results.
+  Project project(apps::make_cornerturn_workspace(32, 2));
+  const std::map<std::string, std::string> before =
+      project.generate().outputs;
+  runtime::ExecuteOptions options;
+  options.iterations = 2;
+  options.collect_trace = false;
+  const runtime::RunStats first = project.execute(options);
+
+  project.invalidate();
+  EXPECT_EQ(project.generate().outputs, before);
+  EXPECT_EQ(project.execute(options).results, first.results);
 }
 
 TEST(ProjectTest, EditScopeInvalidatesAutomatically) {

@@ -7,6 +7,7 @@
 // both paths and are only sanity-checked here.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -146,6 +147,58 @@ TEST(SessionTest, DataPlaneCountersTrackTraffic) {
   EXPECT_GT(stats.data_plane.pool_blocks, 0u);
 }
 
+TEST(SessionTest, DirectlyConstructedSessionMatchesTheProjectFacade) {
+  // A Session built straight from the generated glue, the registry and
+  // the facade-resolved options is the same executor the Project opens.
+  core::Project project(make_workspace("cornerturn"));
+  ExecuteOptions options;
+  options.iterations = 2;
+  options.collect_trace = false;
+  auto opened = project.open_session(options);
+  const RunStats via_project = opened->run();
+
+  Session direct(project.generate().config, project.registry(),
+                 opened->options());
+  EXPECT_EQ(direct.options().iterations, 2);
+  EXPECT_EQ(direct.config().nodes, project.generate().config.nodes);
+  const RunStats first = direct.run();
+  EXPECT_EQ(first.results, via_project.results);
+  EXPECT_EQ(first.fabric_messages, via_project.fabric_messages);
+  EXPECT_EQ(first.fabric_bytes, via_project.fabric_bytes);
+
+  // Repeated run() on the same session stays cold-equivalent.
+  const RunStats second = direct.run();
+  EXPECT_EQ(second.results, first.results);
+  EXPECT_EQ(second.fabric_messages, first.fabric_messages);
+  EXPECT_EQ(second.fabric_bytes, first.fabric_bytes);
+}
+
+TEST(SessionTest, LoopedRunsAreSeparateNonOverlappedRuns) {
+  // Consecutive synchronous runs: each gets its own ticket and private
+  // epoch, nothing stays in flight, and every run matches a fresh
+  // session's run.
+  core::Project project(make_workspace("fft2d"));
+  ExecuteOptions options;
+  options.iterations = 2;
+  options.collect_trace = false;
+  const RunStats reference = project.execute(options);
+
+  auto session = project.open_session(options);
+  std::vector<std::uint64_t> tickets;
+  for (int r = 0; r < 3; ++r) {
+    const RunStats stats = session->run();
+    EXPECT_EQ(stats.results, reference.results) << "run " << r;
+    EXPECT_EQ(stats.fabric_messages, reference.fabric_messages) << "run " << r;
+    EXPECT_EQ(stats.stream_period, 0.0) << "run " << r;
+    EXPECT_EQ(session->in_flight(), 0);
+    if (!tickets.empty()) {
+      EXPECT_GT(stats.ticket, tickets.back());
+    }
+    tickets.push_back(stats.ticket);
+  }
+  EXPECT_EQ(session->runs_completed(), 3);
+}
+
 TEST(SessionTest, RunOverridesApplyPerRunOnly) {
   core::Project project(make_workspace("cornerturn"));
   ExecuteOptions options;
@@ -226,6 +279,35 @@ TEST(SessionTest, ClosedSessionRefusesToRun) {
   EXPECT_TRUE(session->closed());
   EXPECT_THROW(session->run(), RuntimeError);
   session->close();  // idempotent
+}
+
+TEST(SessionTest, ClosedSessionRefusesEveryEntryPoint) {
+  core::Project project(make_workspace("cornerturn"));
+  ExecuteOptions options;
+  options.iterations = 1;
+  options.collect_trace = false;
+  auto session = project.open_session(options);
+  const std::shared_ptr<const CompiledProgram> program =
+      session->program_ptr();
+  const Ticket ticket = session->submit();
+  session->wait(ticket);
+  session->close();
+
+  const auto expect_closed = [](const char* entry, auto&& call) {
+    try {
+      call();
+      ADD_FAILURE() << entry << " ran on a closed session";
+    } catch (const RuntimeError& e) {
+      EXPECT_NE(std::string(e.what()).find("closed session"),
+                std::string::npos)
+          << entry << ": " << e.what();
+    }
+  };
+  expect_closed("submit", [&] { (void)session->submit(); });
+  expect_closed("wait", [&] { (void)session->wait(ticket); });
+  expect_closed("recover", [&] { (void)session->recover({1}); });
+  expect_closed("swap_program", [&] { session->swap_program(program); });
+  expect_closed("fabric", [&] { (void)session->fabric(); });
 }
 
 }  // namespace

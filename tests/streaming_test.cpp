@@ -210,6 +210,35 @@ TEST(StreamingTest, TicketLifecycleAndErrors) {
   EXPECT_EQ(session->runs_completed(), 3);
 }
 
+TEST(StreamingTest, SubmitOverridesApplyPerTicketOnly) {
+  // submit() takes the same RunOverrides as run(): an override shapes
+  // only its own ticket, and unset fields inherit the session options.
+  core::Project project(make_workspace("cornerturn"));
+  ExecuteOptions options;
+  options.iterations = 2;
+  options.collect_trace = false;
+  auto session = project.open_session(options);
+
+  RunOverrides more;
+  more.iterations = 5;
+  RunOverrides shared;
+  shared.buffer_policy = BufferPolicy::kShared;
+  const Ticket longer = session->submit(more);
+  const Ticket plain = session->submit();
+  const Ticket shared_ticket = session->submit(shared);
+
+  EXPECT_EQ(session->wait(longer).iterations, 5);
+  const RunStats inherited = session->wait(plain);
+  EXPECT_EQ(inherited.iterations, 2);
+  EXPECT_EQ(inherited.results, project.execute(options).results);
+
+  const RunStats overridden = session->wait(shared_ticket);
+  EXPECT_EQ(overridden.iterations, 2);
+  ExecuteOptions shared_options = options;
+  shared_options.buffer_policy = BufferPolicy::kShared;
+  EXPECT_EQ(overridden.results, project.execute(shared_options).results);
+}
+
 TEST(StreamingTest, TicketsSurviveEpochBoundaries) {
   // Uncollected tickets stay redeemable after their epoch closes --
   // here forced shut by a depth change and by a synchronous run().

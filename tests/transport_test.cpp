@@ -45,6 +45,16 @@ TEST(TransportKindTest, ParseRoundTripsEveryBackend) {
   EXPECT_FALSE(net::parse_transport_kind("").has_value());
 }
 
+TEST(TransportKindTest, OnlyTheTwoBackendSpellingsParse) {
+  EXPECT_STREQ(net::to_string(TransportKind::kInProc), "inproc");
+  EXPECT_STREQ(net::to_string(TransportKind::kShmem), "shmem");
+  // The loopback TCP backend is gone; its old spelling is unknown now.
+  EXPECT_FALSE(net::parse_transport_kind("tcp").has_value());
+  // Spellings are exact: no case folding, no trimming.
+  EXPECT_FALSE(net::parse_transport_kind("Shmem").has_value());
+  EXPECT_FALSE(net::parse_transport_kind("inproc ").has_value());
+}
+
 TEST(TransportKindTest, ParcelMetaRoundTrips) {
   net::BufferPool pool;
   net::Parcel parcel;
