@@ -2,12 +2,12 @@
 // costs in host time.
 //
 // The paper's probes are meant to be cheap enough to leave enabled; the
-// metrics registry doubles down (fixed shard cells instead of per-event
-// records). This bench drives the same warm session through three
-// configurations -- instrumentation off, metrics only, metrics+trace --
-// and compares median host cost per run. Virtual time is untouched by
-// construction (probe cost is excluded from the emulated clocks), so
-// host overhead is the only cost to measure.
+// metrics registry doubles down (fixed per-function accumulators
+// instead of per-event records). This bench drives the same warm
+// session through three configurations -- instrumentation off, metrics
+// only, metrics+trace -- and compares median host cost per run. Virtual
+// time is untouched by construction (probe cost is excluded from the
+// emulated clocks), so host overhead is the only cost to measure.
 //
 // Environment knobs (see bench_util.hpp): SAGE_BENCH_RUNS (default 2)
 // scales the measured repetitions, SAGE_BENCH_ITERS the iterations per

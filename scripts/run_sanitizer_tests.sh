@@ -20,13 +20,15 @@
 #            executor/session execution paths, the streaming executor --
 #            overlapped tickets on one machine epoch with credit flow
 #            control -- multi-session sharing of one CompiledProgram,
-#            the metrics registry's lock-free per-node shards, the
-#            serve::Server fleet: caller threads racing admission and
-#            quota accounting against worker threads realizing
-#            coalesced streaming tickets -- the shmem transport's
-#            sender/drain threads around the forked node processes'
-#            rings, and the online tuner hot-swapping programs against a
-#            host thread blocked in wait()).
+#            the metrics registries -- the Server's, written under its
+#            mutex, and each Session's, written on its host thread
+#            during collection -- the serve::Server fleet: caller
+#            threads racing admission and quota accounting against
+#            worker threads realizing coalesced streaming tickets --
+#            the shmem transport's sender/drain threads around the
+#            forked node processes' rings, and the online tuner
+#            hot-swapping programs against a host thread blocked in
+#            wait()).
 #   ubsan -- UndefinedBehaviorSanitizer: the arithmetic-heavy paths
 #            (compiled transfer programs and their serialized form,
 #            striping/run-intersection math, FFT permutation and twiddle

@@ -35,8 +35,6 @@ support::VirtualSeconds RunStats::mean_latency() const {
 /// is touched only by that node's worker thread; the host touches it
 /// only between epochs (machine join/dispatch order the accesses).
 struct Session::NodeState {
-  explicit NodeState(int node) { (void)node; }
-
   // Staging storage by compiled slot id (dense; non-local slots empty).
   std::vector<std::vector<std::byte>> staging;
   // Logical-buffer storage by op index (kUniquePerFunction policy only).
@@ -76,9 +74,8 @@ struct Session::StreamTicket {
     // and payload bytes handed to the fabric by pooled handle.
     std::uint64_t bytes_copied = 0;
     std::uint64_t bytes_moved = 0;
-    // Kernel-busy accumulators by function id, folded into the metrics
-    // registry at collection (accumulation order matches the old
-    // node-thread shard writes, so snapshots stay bit-identical).
+    // Kernel-busy accumulators by function id, summed in rank order
+    // into the metrics registry at collection.
     std::vector<double> fn_busy;
     std::vector<double> fn_calls;
     // This node's virtual clock when it started / finished the ticket.
@@ -153,6 +150,269 @@ std::uint64_t pack_bytes_hashed(const std::vector<ByteSeg>& segs,
   return h;
 }
 
+// --- always-on metrics -------------------------------------------------------
+// Every family a session emits is declared once, in the tables below,
+// next to the collected fact it reads. Series are defined one family at
+// a time (not one function at a time) so each family's series stay
+// contiguous in snapshot order -- the Prometheus exposition groups by
+// family. Counters add their row's value at collection, gauges set it.
+
+namespace fam = viz::families;
+using Labels = std::vector<std::pair<std::string, std::string>>;
+
+/// What the metric rows read from one collected ticket.
+struct Collected {
+  const RunStats& stats;
+  const CompiledProgram& program;
+  support::VirtualSeconds threshold;
+  const std::vector<double>& fn_busy;   // by function id, summed by rank
+  const std::vector<double>& fn_calls;  // by function id, summed by rank
+};
+
+/// One series per function, labeled {function=<name>}.
+struct FunctionMetric {
+  const char* name;
+  const char* help;
+  viz::MetricKind kind;
+  bool time_based;
+  double (*value)(const Collected&, const FunctionConfig&);
+};
+
+// Virtual times are measured from host CPU time, so busy seconds and
+// occupancy jitter run to run: time-based, excluded from the
+// deterministic snapshot subset.
+const FunctionMetric kFunctionMetrics[] = {
+    {fam::kFunctionBusySeconds,
+     "Virtual seconds spent executing this function's kernel",
+     viz::MetricKind::kCounter, true,
+     [](const Collected& c, const FunctionConfig& fn) {
+       return c.fn_busy[static_cast<std::size_t>(fn.id)];
+     }},
+    {fam::kFunctionInvocations,
+     "Kernel invocations (every thread of every iteration)",
+     viz::MetricKind::kCounter, false,
+     [](const Collected& c, const FunctionConfig& fn) {
+       return c.fn_calls[static_cast<std::size_t>(fn.id)];
+     }},
+    {fam::kStageOccupancy,
+     "Fraction of the stage's capacity (span x threads) spent busy",
+     viz::MetricKind::kGauge, true,
+     [](const Collected& c, const FunctionConfig& fn) {
+       const auto it = c.stats.occupancy.find(fn.name);
+       return it != c.stats.occupancy.end() ? it->second : 0.0;
+     }},
+};
+
+/// One series per row. The iteration-latency histogram is the one row
+/// without a value: it observes every entry of RunStats::latencies.
+struct ScalarMetric {
+  const char* name;
+  const char* help;
+  viz::MetricKind kind;
+  Labels labels;
+  bool time_based;
+  double (*value)(const Collected&);
+};
+
+const std::vector<double> kLatencyBuckets = {1e-6, 1e-5, 1e-4, 1e-3,
+                                             1e-2, 1e-1, 1.0,  10.0};
+
+double count(std::uint64_t n) { return static_cast<double>(n); }
+
+// Pool counters depend on host-thread interleaving (which node thread
+// allocates first), and compile provenance is a host wall-clock fact, so
+// both are time-based like the measured virtual times.
+const ScalarMetric kScalarMetrics[] = {
+    {fam::kStreamPeriod,
+     "Virtual time between consecutive ticket completions in one "
+     "streaming epoch (0 outside steady state)",
+     viz::MetricKind::kGauge, {}, true,
+     [](const Collected& c) { return c.stats.stream_period; }},
+    {fam::kIterations, "Iterations completed by the run",
+     viz::MetricKind::kCounter, {}, false,
+     [](const Collected& c) {
+       return static_cast<double>(c.stats.iterations);
+     }},
+    {fam::kIterationLatency,
+     "End-to-end iteration latency (source start to sink end)",
+     viz::MetricKind::kHistogram, {}, true, nullptr},
+    {fam::kLatencyViolations,
+     "Iterations whose latency exceeded the configured threshold",
+     viz::MetricKind::kCounter, {}, true,
+     [](const Collected& c) {
+       if (c.threshold <= 0.0) return 0.0;
+       return static_cast<double>(std::count_if(
+           c.stats.latencies.begin(), c.stats.latencies.end(),
+           [&](support::VirtualSeconds lat) { return lat > c.threshold; }));
+     }},
+    {fam::kLatencyThreshold, "Configured latency threshold (0 = disabled)",
+     viz::MetricKind::kGauge, {}, false,
+     [](const Collected& c) { return c.threshold; }},
+    {fam::kMakespan, "Modeled end-to-end run time", viz::MetricKind::kGauge,
+     {}, true, [](const Collected& c) { return c.stats.makespan; }},
+    {fam::kFaultsInjected, "Faults injected by the fabric, by kind",
+     viz::MetricKind::kCounter, {{"kind", "drop"}}, false,
+     [](const Collected& c) { return count(c.stats.faults.injected_drops); }},
+    {fam::kFaultsInjected, "", viz::MetricKind::kCounter,
+     {{"kind", "corrupt"}}, false,
+     [](const Collected& c) {
+       return count(c.stats.faults.injected_corruptions);
+     }},
+    {fam::kFaultsInjected, "", viz::MetricKind::kCounter, {{"kind", "delay"}},
+     false,
+     [](const Collected& c) { return count(c.stats.faults.injected_delays); }},
+    {fam::kFaultRetries, "Retransmit attempts after a detected loss",
+     viz::MetricKind::kCounter, {}, false,
+     [](const Collected& c) { return count(c.stats.faults.retries); }},
+    {fam::kFaultTimeouts, "Loss-detection timeouts waited out by receivers",
+     viz::MetricKind::kCounter, {}, false,
+     [](const Collected& c) { return count(c.stats.faults.timeouts); }},
+    {fam::kFaultCorruptFrames, "Frames rejected by receiver checksums",
+     viz::MetricKind::kCounter, {}, false,
+     [](const Collected& c) {
+       return count(c.stats.faults.corruptions_detected);
+     }},
+    {fam::kFaultStalls, "Modeled node stalls at iteration boundaries",
+     viz::MetricKind::kCounter, {}, false,
+     [](const Collected& c) { return count(c.stats.faults.stalls); }},
+    {fam::kDegradedNodes, "Nodes the session is running without",
+     viz::MetricKind::kGauge, {}, false,
+     [](const Collected& c) {
+       return static_cast<double>(c.stats.faults.degraded_nodes);
+     }},
+    {fam::kDataBytesCopied,
+     "Host bytes memcpy'd by the data plane (every pass counted)",
+     viz::MetricKind::kCounter, {}, false,
+     [](const Collected& c) { return count(c.stats.data_plane.bytes_copied); }},
+    {fam::kDataBytesMoved,
+     "Payload bytes handed to the fabric by pooled handle",
+     viz::MetricKind::kCounter, {}, false,
+     [](const Collected& c) { return count(c.stats.data_plane.bytes_moved); }},
+    {fam::kPoolHits, "Pooled-buffer acquisitions served from a free list",
+     viz::MetricKind::kCounter, {}, true,
+     [](const Collected& c) { return count(c.stats.data_plane.pool_hits); }},
+    {fam::kPoolMisses, "Pooled-buffer acquisitions that had to allocate",
+     viz::MetricKind::kCounter, {}, true,
+     [](const Collected& c) { return count(c.stats.data_plane.pool_misses); }},
+    {fam::kPoolBlocks, "Blocks owned by the fabric's buffer pool",
+     viz::MetricKind::kGauge, {}, true,
+     [](const Collected& c) { return count(c.stats.data_plane.pool_blocks); }},
+    {fam::kProgramCompileSeconds,
+     "Wall seconds spent compiling (or cache-loading) the program",
+     viz::MetricKind::kGauge, {}, true,
+     [](const Collected& c) { return c.program.compile_seconds; }},
+};
+
+/// One counter series per directed fabric link, labeled {src, dst}.
+struct LinkMetric {
+  const char* name;
+  const char* help;
+  double (*value)(const net::LinkStats&);
+};
+
+const LinkMetric kLinkMetrics[] = {
+    {fam::kLinkMessages, "Messages accepted on this directed link",
+     [](const net::LinkStats& link) { return count(link.messages); }},
+    {fam::kLinkBytes, "Payload bytes accepted on this directed link",
+     [](const net::LinkStats& link) { return count(link.bytes); }},
+    {fam::kLinkRetransmits, "Retransmit attempts issued on this directed link",
+     [](const net::LinkStats& link) { return count(link.retransmits); }},
+    {fam::kLinkBusySeconds,
+     "Virtual seconds the board-pair channel spent serializing this "
+     "link's payloads (contention model)",
+     [](const net::LinkStats& link) { return link.busy_vt; }},
+};
+
+int define_series(viz::MetricsRegistry& registry, const char* name,
+                  const char* help, viz::MetricKind kind, Labels labels,
+                  bool time_based) {
+  return registry.define(
+      {.name = name,
+       .help = help,
+       .kind = kind,
+       .labels = std::move(labels),
+       .buckets = kind == viz::MetricKind::kHistogram ? kLatencyBuckets
+                                                      : std::vector<double>{},
+       .time_based = time_based});
+}
+
+/// Defines the function and scalar rows; the ids come back in row order.
+std::vector<int> define_metrics(viz::MetricsRegistry& registry,
+                                const GlueConfig& config) {
+  std::vector<int> ids;
+  for (const FunctionMetric& row : kFunctionMetrics) {
+    for (const FunctionConfig& fn : config.functions) {
+      ids.push_back(define_series(registry, row.name, row.help, row.kind,
+                                  {{"function", fn.name}}, row.time_based));
+    }
+  }
+  for (const ScalarMetric& row : kScalarMetrics) {
+    ids.push_back(define_series(registry, row.name, row.help, row.kind,
+                                row.labels, row.time_based));
+  }
+  return ids;
+}
+
+/// The counter (name, labels), defined on first sight: ids -- and with
+/// them snapshot order -- persist across warm runs; values reset.
+int counter_on_first_sight(viz::MetricsRegistry& registry, const char* name,
+                           const char* help, const Labels& labels,
+                           bool time_based) {
+  if (const auto id = registry.lookup(name, labels)) return *id;
+  return registry.counter(name, help, labels, time_based);
+}
+
+/// Folds one collected ticket into the (freshly reset) registry: every
+/// table row, then the executing program's plan-cache lookup, then the
+/// fabric's per-link totals.
+void record_metrics(viz::MetricsRegistry& registry,
+                    const std::vector<int>& ids, const Collected& c,
+                    const std::map<std::pair<int, int>, net::LinkStats>& links) {
+  const auto record = [&](int id, viz::MetricKind kind, double value) {
+    if (kind == viz::MetricKind::kGauge) {
+      registry.set(id, value);
+    } else {
+      registry.add(id, value);
+    }
+  };
+  auto id = ids.begin();
+  for (const FunctionMetric& row : kFunctionMetrics) {
+    for (const FunctionConfig& fn : c.program.config.functions) {
+      record(*id++, row.kind, row.value(c, fn));
+    }
+  }
+  for (const ScalarMetric& row : kScalarMetrics) {
+    if (row.value == nullptr) {
+      for (const auto lat : c.stats.latencies) registry.observe(*id, lat);
+      ++id;
+    } else {
+      record(*id++, row.kind, row.value(c));
+    }
+  }
+  // recover() and swap_program() replace the program, so the outcome is
+  // the executing program's, not the one the session was opened with.
+  if (c.program.cache_outcome != PlanCacheOutcome::kNotConsulted) {
+    registry.add(
+        counter_on_first_sight(
+            registry, fam::kPlanCacheLookups,
+            "Plan-cache lookups by outcome (one per program compile)",
+            {{"outcome", to_string(c.program.cache_outcome)}}, true),
+        1.0);
+  }
+  // std::map iteration -> (src, dst) order, so first-sight definition
+  // order matches across warm runs and fresh sessions with the same
+  // traffic pattern.
+  for (const auto& [key, link] : links) {
+    const Labels labels = {{"src", std::to_string(key.first)},
+                           {"dst", std::to_string(key.second)}};
+    for (const LinkMetric& row : kLinkMetrics) {
+      registry.add(counter_on_first_sight(registry, row.name, row.help,
+                                          labels, false),
+                   row.value(link));
+    }
+  }
+}
+
 }  // namespace
 
 Session::Session(GlueConfig config, const FunctionRegistry& registry,
@@ -194,8 +454,7 @@ Session::Session(std::shared_ptr<const CompiledProgram> program,
   allocate_states_();
   prewarm_pool_();
 
-  metrics_ = viz::MetricsRegistry(config.nodes);
-  define_metrics_();
+  metric_ids_ = define_metrics(metrics_, config);
 
   machine_->start();
 }
@@ -228,196 +487,6 @@ void Session::prewarm_pool_() {
   for (const auto& [size, count] : want) pool.reserve(size, count);
 }
 
-void Session::define_metrics_() {
-  using viz::Aggregation;
-  namespace fam = viz::families;
-  const GlueConfig& config = program_->config;
-  // One family at a time (not one function at a time) so each family's
-  // series stay contiguous in snapshot order -- the Prometheus
-  // exposition groups by family.
-  fn_busy_ids_.reserve(config.functions.size());
-  for (const FunctionConfig& fn : config.functions) {
-    fn_busy_ids_.push_back(metrics_.counter(
-        fam::kFunctionBusySeconds,
-        "Virtual seconds spent executing this function's kernel",
-        {{"function", fn.name}}, /*time_based=*/true));
-  }
-  fn_calls_ids_.reserve(config.functions.size());
-  for (const FunctionConfig& fn : config.functions) {
-    fn_calls_ids_.push_back(metrics_.counter(
-        fam::kFunctionInvocations,
-        "Kernel invocations (every thread of every iteration)",
-        {{"function", fn.name}}));
-  }
-  // Virtual times are measured from host CPU time, so occupancy and the
-  // achieved streaming period jitter run to run: time-based, excluded
-  // from the deterministic snapshot subset.
-  fn_occupancy_ids_.reserve(config.functions.size());
-  for (const FunctionConfig& fn : config.functions) {
-    fn_occupancy_ids_.push_back(metrics_.gauge(
-        fam::kStageOccupancy,
-        "Fraction of the stage's capacity (span x threads) spent busy",
-        Aggregation::kMax, {{"function", fn.name}}, /*time_based=*/true));
-  }
-  stream_period_id_ = metrics_.gauge(
-      fam::kStreamPeriod,
-      "Virtual time between consecutive ticket completions in one "
-      "streaming epoch (0 outside steady state)",
-      Aggregation::kMax, {}, /*time_based=*/true);
-  iterations_id_ =
-      metrics_.counter(fam::kIterations, "Iterations completed by the run");
-  latency_hist_id_ = metrics_.histogram(
-      fam::kIterationLatency,
-      "End-to-end iteration latency (source start to sink end)",
-      {1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0}, {},
-      /*time_based=*/true);
-  violations_id_ = metrics_.counter(
-      fam::kLatencyViolations,
-      "Iterations whose latency exceeded the configured threshold", {},
-      /*time_based=*/true);
-  threshold_id_ = metrics_.gauge(
-      fam::kLatencyThreshold, "Configured latency threshold (0 = disabled)");
-  makespan_id_ =
-      metrics_.gauge(fam::kMakespan, "Modeled end-to-end run time",
-                     Aggregation::kSum, {}, /*time_based=*/true);
-  fault_drop_id_ = metrics_.counter(
-      fam::kFaultsInjected, "Faults injected by the fabric, by kind",
-      {{"kind", "drop"}});
-  fault_corrupt_id_ = metrics_.counter(fam::kFaultsInjected, "",
-                                       {{"kind", "corrupt"}});
-  fault_delay_id_ =
-      metrics_.counter(fam::kFaultsInjected, "", {{"kind", "delay"}});
-  fault_retries_id_ = metrics_.counter(
-      fam::kFaultRetries, "Retransmit attempts after a detected loss");
-  fault_timeouts_id_ = metrics_.counter(
-      fam::kFaultTimeouts, "Loss-detection timeouts waited out by receivers");
-  fault_frames_id_ = metrics_.counter(
-      fam::kFaultCorruptFrames, "Frames rejected by receiver checksums");
-  fault_stalls_id_ = metrics_.counter(
-      fam::kFaultStalls, "Modeled node stalls at iteration boundaries");
-  degraded_id_ = metrics_.gauge(
-      fam::kDegradedNodes, "Nodes the session is running without");
-  bytes_copied_id_ = metrics_.counter(
-      fam::kDataBytesCopied,
-      "Host bytes memcpy'd by the data plane (every pass counted)");
-  bytes_moved_id_ = metrics_.counter(
-      fam::kDataBytesMoved,
-      "Payload bytes handed to the fabric by pooled handle");
-  // Pool counters depend on host-thread interleaving (which node thread
-  // allocates first), so they are time-based: reported, but excluded
-  // from the deterministic snapshot subset.
-  pool_hits_id_ = metrics_.counter(
-      fam::kPoolHits, "Pooled-buffer acquisitions served from a free list",
-      {}, /*time_based=*/true);
-  pool_misses_id_ = metrics_.counter(
-      fam::kPoolMisses, "Pooled-buffer acquisitions that had to allocate",
-      {}, /*time_based=*/true);
-  pool_blocks_id_ = metrics_.gauge(
-      fam::kPoolBlocks, "Blocks owned by the fabric's buffer pool",
-      Aggregation::kSum, {}, /*time_based=*/true);
-  // Compile provenance: host wall-clock facts about how this session's
-  // program came to be, time-based for the same reason as host_seconds.
-  compile_seconds_id_ = metrics_.gauge(
-      fam::kProgramCompileSeconds,
-      "Wall seconds spent compiling (or cache-loading) the program",
-      Aggregation::kMax, {}, /*time_based=*/true);
-  if (program_->cache_outcome != PlanCacheOutcome::kNotConsulted) {
-    cache_lookup_id_ = metrics_.counter(
-        fam::kPlanCacheLookups,
-        "Plan-cache lookups by outcome (one per program compile)",
-        {{"outcome", to_string(program_->cache_outcome)}},
-        /*time_based=*/true);
-  }
-}
-
-const std::array<int, 4>& Session::link_metric_ids_(int src, int dst) {
-  const auto key = std::make_pair(src, dst);
-  auto it = link_ids_.find(key);
-  if (it != link_ids_.end()) return it->second;
-  namespace fam = viz::families;
-  const std::vector<std::pair<std::string, std::string>> labels = {
-      {"src", std::to_string(src)}, {"dst", std::to_string(dst)}};
-  std::array<int, 4> ids = {
-      metrics_.counter(fam::kLinkMessages,
-                       "Messages accepted on this directed link", labels),
-      metrics_.counter(fam::kLinkBytes,
-                       "Payload bytes accepted on this directed link", labels),
-      metrics_.counter(fam::kLinkRetransmits,
-                       "Retransmit attempts issued on this directed link",
-                       labels),
-      metrics_.counter(
-          fam::kLinkBusySeconds,
-          "Virtual seconds the board-pair channel spent serializing this "
-          "link's payloads (contention model)",
-          labels),
-  };
-  return link_ids_.emplace(key, ids).first->second;
-}
-
-void Session::export_metrics_(RunStats& stats, const StreamTicket& ticket,
-                              const CompiledProgram& program) {
-  const support::VirtualSeconds threshold = ticket.params.threshold;
-  metrics_.add(0, iterations_id_, static_cast<double>(stats.iterations));
-  for (const auto lat : stats.latencies) {
-    metrics_.observe(0, latency_hist_id_, lat);
-    if (threshold > 0.0 && lat > threshold) {
-      metrics_.add(0, violations_id_, 1.0);
-    }
-  }
-  metrics_.set(0, threshold_id_, threshold);
-  metrics_.set(0, makespan_id_, stats.makespan);
-  metrics_.set(0, stream_period_id_, stats.stream_period);
-  for (std::size_t fn = 0; fn < fn_occupancy_ids_.size(); ++fn) {
-    const std::string& name = program.config.functions[fn].name;
-    const auto it = stats.occupancy.find(name);
-    metrics_.set(0, fn_occupancy_ids_[fn],
-                 it != stats.occupancy.end() ? it->second : 0.0);
-  }
-
-  metrics_.add(0, fault_drop_id_,
-               static_cast<double>(stats.faults.injected_drops));
-  metrics_.add(0, fault_corrupt_id_,
-               static_cast<double>(stats.faults.injected_corruptions));
-  metrics_.add(0, fault_delay_id_,
-               static_cast<double>(stats.faults.injected_delays));
-  metrics_.add(0, fault_retries_id_,
-               static_cast<double>(stats.faults.retries));
-  metrics_.add(0, fault_timeouts_id_,
-               static_cast<double>(stats.faults.timeouts));
-  metrics_.add(0, fault_frames_id_,
-               static_cast<double>(stats.faults.corruptions_detected));
-  metrics_.add(0, fault_stalls_id_, static_cast<double>(stats.faults.stalls));
-  metrics_.set(0, degraded_id_,
-               static_cast<double>(stats.faults.degraded_nodes));
-
-  metrics_.add(0, bytes_copied_id_,
-               static_cast<double>(stats.data_plane.bytes_copied));
-  metrics_.add(0, bytes_moved_id_,
-               static_cast<double>(stats.data_plane.bytes_moved));
-  metrics_.add(0, pool_hits_id_,
-               static_cast<double>(stats.data_plane.pool_hits));
-  metrics_.add(0, pool_misses_id_,
-               static_cast<double>(stats.data_plane.pool_misses));
-  metrics_.set(0, pool_blocks_id_,
-               static_cast<double>(stats.data_plane.pool_blocks));
-
-  metrics_.set(0, compile_seconds_id_, program.compile_seconds);
-  if (cache_lookup_id_ >= 0) metrics_.add(0, cache_lookup_id_, 1.0);
-
-  // std::map iteration -> (src, dst) order, so first-sight definition
-  // order (and with it snapshot order) matches across warm runs and
-  // fresh sessions with the same traffic pattern.
-  for (const auto& [key, link] : machine_->fabric().link_stats()) {
-    const std::array<int, 4>& ids = link_metric_ids_(key.first, key.second);
-    metrics_.add(0, ids[0], static_cast<double>(link.messages));
-    metrics_.add(0, ids[1], static_cast<double>(link.bytes));
-    metrics_.add(0, ids[2], static_cast<double>(link.retransmits));
-    metrics_.add(0, ids[3], link.busy_vt);
-  }
-
-  stats.metrics = metrics_.snapshot();
-}
-
 void Session::allocate_states_() {
   // Pre-allocate every staging buffer and the logical-buffer pool, so
   // warm runs reuse memory instead of reallocating it. Also called by
@@ -427,7 +496,7 @@ void Session::allocate_states_() {
   states_.clear();
   states_.reserve(static_cast<std::size_t>(config.nodes));
   for (int r = 0; r < config.nodes; ++r) {
-    auto state = std::make_unique<NodeState>(r);
+    auto state = std::make_unique<NodeState>();
     auto schedule_it = config.schedule.find(r);
     if (schedule_it != config.schedule.end()) {
       state->order = schedule_it->second;
@@ -1064,28 +1133,6 @@ RunStats Session::collect_(StreamTicket& ticket,
     }
   }
 
-  // Per-stage occupancy over this ticket's span: kernel-busy virtual
-  // seconds (all threads) / (span x thread count). The stage nearest
-  // 1.0 is the one that sets the steady-state period.
-  if (params.metrics) {
-    support::VirtualSeconds span_start = ticket.nodes.empty()
-                                             ? 0.0
-                                             : ticket.nodes.front().start_vt;
-    for (const auto& share : ticket.nodes) {
-      span_start = std::min(span_start, share.start_vt);
-    }
-    const support::VirtualSeconds span = ticket.complete_vt - span_start;
-    const GlueConfig& config = program.config;
-    for (const FunctionConfig& fn : config.functions) {
-      double busy = 0.0;
-      for (const auto& share : ticket.nodes) {
-        busy += share.fn_busy[static_cast<std::size_t>(fn.id)];
-      }
-      const double capacity = span * static_cast<double>(fn.threads);
-      stats.occupancy[fn.name] = capacity > 0.0 ? busy / capacity : 0.0;
-    }
-  }
-
   if (params.trace) {
     std::vector<const viz::EventBuffer*> buffers;
     buffers.reserve(ticket.nodes.size());
@@ -1094,22 +1141,41 @@ RunStats Session::collect_(StreamTicket& ticket,
   }
 
   if (params.metrics) {
-    // Fold the per-ticket kernel accumulators into the (quiescent --
-    // workers never touch it) registry, reproducing exactly the shard
-    // cells the node threads used to write inline: same shard, same
-    // accumulation order, cells untouched where no call landed.
-    metrics_.reset();
-    for (std::size_t r = 0; r < ticket.nodes.size(); ++r) {
-      const auto& share = ticket.nodes[r];
-      for (std::size_t fn = 0; fn < share.fn_calls.size(); ++fn) {
-        if (share.fn_calls[fn] == 0.0) continue;
-        metrics_.add(static_cast<int>(r), fn_busy_ids_[fn],
-                     share.fn_busy[fn]);
-        metrics_.add(static_cast<int>(r), fn_calls_ids_[fn],
-                     share.fn_calls[fn]);
+    // Kernel-busy seconds and invocations per function, summed in rank
+    // order.
+    const GlueConfig& config = program.config;
+    std::vector<double> fn_busy(config.functions.size(), 0.0);
+    std::vector<double> fn_calls(config.functions.size(), 0.0);
+    for (const auto& share : ticket.nodes) {
+      for (std::size_t fn = 0; fn < fn_busy.size(); ++fn) {
+        fn_busy[fn] += share.fn_busy[fn];
+        fn_calls[fn] += share.fn_calls[fn];
       }
     }
-    export_metrics_(stats, ticket, program);
+    // Per-stage occupancy over this ticket's span: kernel-busy virtual
+    // seconds (all threads) / (span x thread count). The stage nearest
+    // 1.0 is the one that sets the steady-state period.
+    support::VirtualSeconds span_start = ticket.nodes.empty()
+                                             ? 0.0
+                                             : ticket.nodes.front().start_vt;
+    for (const auto& share : ticket.nodes) {
+      span_start = std::min(span_start, share.start_vt);
+    }
+    const support::VirtualSeconds span = ticket.complete_vt - span_start;
+    for (const FunctionConfig& fn : config.functions) {
+      const double capacity = span * static_cast<double>(fn.threads);
+      stats.occupancy[fn.name] =
+          capacity > 0.0
+              ? fn_busy[static_cast<std::size_t>(fn.id)] / capacity
+              : 0.0;
+    }
+    // The registry is host-only: node workers never touch it.
+    metrics_.reset();
+    record_metrics(metrics_, metric_ids_,
+                   Collected{stats, program, params.threshold, fn_busy,
+                             fn_calls},
+                   machine_->fabric().link_stats());
+    stats.metrics = metrics_.snapshot();
   }
 
   return stats;
@@ -1164,11 +1230,12 @@ void Session::run_node_ticket_(net::NodeContext& node, StreamTicket& ticket) {
   net::Payload credit_payload;  // fault-free path: one zero byte
   net::Payload credit_frame;    // fault path: framed zero byte
 
-  const auto record_fault = [&](int fn_id, int t, int iter, double start_vt,
+  // One trace event spanning [start_vt, now] on this node.
+  const auto record_event = [&](viz::EventKind kind, int fn_id, int t,
+                                int iter, double start_vt,
                                 std::uint64_t bytes, std::string label) {
-    if (!trace) return;
     viz::Event e;
-    e.kind = viz::EventKind::kFault;
+    e.kind = kind;
     e.function_id = fn_id;
     e.thread = t;
     e.iteration = iter;
@@ -1176,7 +1243,14 @@ void Session::run_node_ticket_(net::NodeContext& node, StreamTicket& ticket) {
     e.end_vt = node.now();
     e.bytes = bytes;
     e.label = std::move(label);
-    share.events.record(e);
+    share.events.record(std::move(e));
+  };
+
+  const auto record_fault = [&](int fn_id, int t, int iter, double start_vt,
+                                std::uint64_t bytes, std::string label) {
+    if (!trace) return;
+    record_event(viz::EventKind::kFault, fn_id, t, iter, start_vt, bytes,
+                 std::move(label));
   };
 
   /// Reliable framed send (fault mode only). The payload is a complete
@@ -1192,16 +1266,8 @@ void Session::run_node_ticket_(net::NodeContext& node, StreamTicket& ticket) {
     node.clock().join(receipt.sender_after);
     if (trace) {
       for (int attempt = 1; attempt < receipt.attempts; ++attempt) {
-        viz::Event e;
-        e.kind = viz::EventKind::kRetry;
-        e.function_id = fn_id;
-        e.thread = t;
-        e.iteration = iter;
-        e.start_vt = t_before;
-        e.end_vt = node.now();
-        e.bytes = body_bytes;
-        e.label = label;
-        share.events.record(e);
+        record_event(viz::EventKind::kRetry, fn_id, t, iter, t_before,
+                     body_bytes, label);
       }
     }
   };
@@ -1329,16 +1395,8 @@ void Session::run_node_ticket_(net::NodeContext& node, StreamTicket& ticket) {
             body = payload.bytes();
           }
           if (trace) {
-            viz::Event e;
-            e.kind = viz::EventKind::kReceive;
-            e.function_id = fn_id;
-            e.thread = t;
-            e.iteration = iter;
-            e.start_vt = t_before;
-            e.end_vt = node.now();
-            e.bytes = body.size();
-            e.label = buf.label;
-            share.events.record(e);
+            record_event(viz::EventKind::kReceive, fn_id, t, iter, t_before,
+                         body.size(), buf.label);
           }
           std::vector<std::byte>& dst_staging =
               state.staging[static_cast<std::size_t>(op.dst_slot)];
@@ -1394,9 +1452,8 @@ void Session::run_node_ticket_(net::NodeContext& node, StreamTicket& ticket) {
         }
         if (metrics) {
           // Two fixed-slot accumulator writes, folded into the metrics
-          // registry shards at collection (the registry stays host-only
-          // while tickets overlap); like the probes, charged to host
-          // time only.
+          // registry at collection (the registry stays host-only while
+          // tickets overlap); like the probes, charged to host time only.
           share.fn_busy[static_cast<std::size_t>(fn_id)] +=
               node.now() - exec_start;
           share.fn_calls[static_cast<std::size_t>(fn_id)] += 1.0;
@@ -1458,16 +1515,8 @@ void Session::run_node_ticket_(net::NodeContext& node, StreamTicket& ticket) {
             }
             share.bytes_copied += unique ? 2 * op.bytes : op.bytes;
             if (trace) {
-              viz::Event e;
-              e.kind = viz::EventKind::kBufferCopy;
-              e.function_id = fn_id;
-              e.thread = t;
-              e.iteration = iter;
-              e.start_vt = t_before;
-              e.end_vt = node.now();
-              e.bytes = op.bytes;
-              e.label = buf.label;
-              share.events.record(e);
+              record_event(viz::EventKind::kBufferCopy, fn_id, t, iter,
+                           t_before, op.bytes, buf.label);
             }
             continue;
           }
@@ -1549,16 +1598,8 @@ void Session::run_node_ticket_(net::NodeContext& node, StreamTicket& ticket) {
           share.bytes_moved += op.bytes;
           ++state.sends_done[static_cast<std::size_t>(op_idx)];
           if (trace) {
-            viz::Event e;
-            e.kind = viz::EventKind::kSend;
-            e.function_id = fn_id;
-            e.thread = t;
-            e.iteration = iter;
-            e.start_vt = t_before;
-            e.end_vt = node.now();
-            e.bytes = op.bytes;
-            e.label = buf.label;
-            share.events.record(e);
+            record_event(viz::EventKind::kSend, fn_id, t, iter, t_before,
+                         op.bytes, buf.label);
           }
         }
       }

@@ -10,7 +10,8 @@
 //   runtime::Session   executes a shared_ptr<const CompiledProgram>,
 //                      owning only mutable state: staging buffers, the
 //                      emulated machine (one parked host thread per
-//                      node), metrics shards, and per-run parameters.
+//                      node), the metrics registry, and per-run
+//                      parameters.
 //
 // N concurrent sessions can execute one program; the content-addressed
 // plan cache (see compiler.hpp) lets a warm process restart skip the
@@ -49,7 +50,6 @@
 // at collection time.
 #pragma once
 
-#include <array>
 #include <condition_variable>
 #include <cstdint>
 #include <map>
@@ -87,7 +87,7 @@ struct ExecuteOptions {
   /// Collect the always-on metrics (per-function busy time and
   /// invocations, per-link fabric traffic, iteration latency histogram,
   /// fault counters) into RunStats::metrics. Cheaper than tracing --
-  /// fixed-size shard cells instead of per-event records -- and like
+  /// fixed-size accumulators instead of per-event records -- and like
   /// probes the cost lands in host time only, never in virtual time.
   bool collect_metrics = true;
   /// Latency threshold monitor: iterations whose end-to-end latency
@@ -440,14 +440,6 @@ class Session {
   /// the compiled program, so even a first run stays allocation-free on
   /// credit-bounded channels.
   void prewarm_pool_();
-  void define_metrics_();
-  /// Folds iteration latencies, fault counters, and the fabric's
-  /// per-link totals into the registry and snapshots it into `stats`.
-  void export_metrics_(RunStats& stats, const StreamTicket& ticket,
-                       const CompiledProgram& program);
-  /// Ids of the four per-link series for (src, dst), defining them on
-  /// first sight (ids persist across warm runs; values reset).
-  const std::array<int, 4>& link_metric_ids_(int src, int dst);
 
   /// The immutable plan this executor drives. Replaced only by
   /// recover() (private recompile) and swap_program() (online tuning);
@@ -461,38 +453,14 @@ class Session {
   std::unique_ptr<net::Machine> machine_;
   std::vector<std::unique_ptr<NodeState>> states_;
 
-  // Always-on metrics. Definitions are made once (construction for the
-  // static set, first sight for per-link series) so series ids -- and
-  // therefore snapshot order -- are stable across warm runs; values are
-  // zeroed by reset_between_runs_(). One shard per node, written
-  // lock-free by that node's thread (the EventBuffer threading model).
+  // Always-on metrics, declared by the table in session.cpp. The
+  // function and scalar rows are defined at construction, per-link and
+  // plan-cache series on first sight, so series ids -- and therefore
+  // snapshot order -- are stable across warm runs; values are zeroed by
+  // reset_between_runs_(). Written and snapshotted on the host thread
+  // only, during collection.
   viz::MetricsRegistry metrics_;
-  std::vector<int> fn_busy_ids_;   // by function id
-  std::vector<int> fn_calls_ids_;  // by function id
-  std::vector<int> fn_occupancy_ids_;  // by function id (streaming)
-  int stream_period_id_ = -1;
-  int iterations_id_ = -1;
-  int latency_hist_id_ = -1;
-  int violations_id_ = -1;
-  int threshold_id_ = -1;
-  int makespan_id_ = -1;
-  int fault_drop_id_ = -1;
-  int fault_corrupt_id_ = -1;
-  int fault_delay_id_ = -1;
-  int fault_retries_id_ = -1;
-  int fault_timeouts_id_ = -1;
-  int fault_frames_id_ = -1;
-  int fault_stalls_id_ = -1;
-  int degraded_id_ = -1;
-  int bytes_copied_id_ = -1;
-  int bytes_moved_id_ = -1;
-  int pool_hits_id_ = -1;
-  int pool_misses_id_ = -1;
-  int pool_blocks_id_ = -1;
-  int compile_seconds_id_ = -1;
-  int cache_lookup_id_ = -1;  // -1 when the plan cache was not consulted
-  // (src, dst) -> {messages, bytes, retransmits, busy seconds} ids.
-  std::map<std::pair<int, int>, std::array<int, 4>> link_ids_;
+  std::vector<int> metric_ids_;  // function then scalar rows, row order
   /// Pool counters at epoch start (collection-time deltas for
   /// DataPlaneStats; exact per run on the synchronous path, cumulative
   /// under overlap).

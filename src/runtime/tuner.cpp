@@ -133,7 +133,7 @@ Tuner::Tuner(Session& session, const FunctionRegistry& registry,
   gain_id_ = metrics_.gauge(
       fam::kTunePredictedGain,
       "Predicted objective gain ratio of the last re-mapping step.",
-      viz::Aggregation::kMax, {}, /*time_based=*/true);
+      {}, /*time_based=*/true);
   swap_seconds_id_ = metrics_.counter(
       fam::kTuneSwapSeconds,
       "Host wall seconds spent recompiling and hot-swapping programs.", {},
@@ -222,7 +222,7 @@ TuneStepReport Tuner::step() {
 
   if (!window_has_samples_) {
     report.outcome = "skip";
-    metrics_.add(0, steps_skip_id_, 1.0);
+    metrics_.add(steps_skip_id_, 1.0);
     return report;
   }
 
@@ -254,7 +254,7 @@ TuneStepReport Tuner::step() {
           ? (report.incumbent_objective - report.candidate_objective) /
                 report.incumbent_objective
           : 0.0;
-  metrics_.set(0, gain_id_, report.predicted_gain_ratio);
+  metrics_.set(gain_id_, report.predicted_gain_ratio);
 
   if (report.predicted_gain_ratio > options_.hysteresis &&
       result.best != incumbent_) {
@@ -271,11 +271,11 @@ TuneStepReport Tuner::step() {
     report.outcome = "swap";
     incumbent_ = result.best;
     ++swaps_;
-    metrics_.add(0, steps_swap_id_, 1.0);
-    metrics_.add(0, swap_seconds_id_, report.swap_seconds);
+    metrics_.add(steps_swap_id_, 1.0);
+    metrics_.add(swap_seconds_id_, report.swap_seconds);
   } else {
     report.outcome = "hold";
-    metrics_.add(0, steps_hold_id_, 1.0);
+    metrics_.add(steps_hold_id_, 1.0);
   }
 
   window_busy_.clear();

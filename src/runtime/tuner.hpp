@@ -149,7 +149,7 @@ class Tuner {
   int window_iterations_ = 0;
   bool window_has_samples_ = false;
 
-  viz::MetricsRegistry metrics_{1};
+  viz::MetricsRegistry metrics_;
   int steps_swap_id_ = -1;
   int steps_hold_id_ = -1;
   int steps_skip_id_ = -1;

@@ -90,8 +90,7 @@ Server::Server(ServerOptions options) : options_(std::move(options)) {
 
   queue_depth_id_ = metrics_.gauge(
       viz::families::kServeQueueDepth,
-      "Peak number of admitted requests waiting (virtually queued)",
-      viz::Aggregation::kMax);
+      "Peak number of admitted requests waiting (virtually queued)");
   sessions_total_id_ = metrics_.gauge(
       viz::families::kServeSessions, "Warm sessions across all fleets");
   coalesced_id_ = metrics_.counter(
@@ -192,10 +191,10 @@ std::uint64_t Server::add_program(
   fleet_by_key_[key] = fleets_.size();
   fleet_session_ids_[key] = metrics_.gauge(
       viz::families::kServeSessions, "Warm sessions serving this program",
-      viz::Aggregation::kSum, {{"program", hex_key(key)}});
-  metrics_.set(0, fleet_session_ids_[key], 1.0);
+      {{"program", hex_key(key)}});
+  metrics_.set(fleet_session_ids_[key], 1.0);
   ++stats_.sessions;
-  metrics_.set(0, sessions_total_id_, static_cast<double>(stats_.sessions));
+  metrics_.set(sessions_total_id_, static_cast<double>(stats_.sessions));
   fleets_.push_back(std::move(fleet));
   return key;
 }
@@ -264,7 +263,7 @@ ServeTicket Server::shed_locked_(const std::string& tenant,
     case Admission::kUnknownProgram: ++stats_.shed_unknown; break;
     case Admission::kAdmitted: break;
   }
-  metrics_.add(0, shed_series_locked_(tenant, reason), 1.0);
+  metrics_.add(shed_series_locked_(tenant, reason), 1.0);
   ServeTicket ticket;
   ticket.id = next_id_++;
   ticket.admission = reason;
@@ -278,8 +277,8 @@ void Server::grow_fleet_locked_(Fleet& fleet) {
                                                      fleet.options);
   fleet.slots.push_back(std::move(slot));
   ++stats_.sessions;
-  metrics_.set(0, sessions_total_id_, static_cast<double>(stats_.sessions));
-  metrics_.set(0, fleet_session_ids_[fleet.key],
+  metrics_.set(sessions_total_id_, static_cast<double>(stats_.sessions));
+  metrics_.set(fleet_session_ids_[fleet.key],
                static_cast<double>(fleet.slots.size()));
 }
 
@@ -361,7 +360,7 @@ ServeTicket Server::submit(std::uint64_t program, RunRequest request) {
     pending->finish_vt = slot.busy_until + fleet.period_vt;
     pending->coalesced = true;
     ++stats_.coalesced;
-    metrics_.add(0, coalesced_id_, 1.0);
+    metrics_.add(coalesced_id_, 1.0);
   }
   slot.busy_until = pending->finish_vt;
 
@@ -373,13 +372,11 @@ ServeTicket Server::submit(std::uint64_t program, RunRequest request) {
   stats_.peak_queue_depth = std::max(
       stats_.peak_queue_depth,
       waiting + (pending->start_vt > pending->arrival_vt ? 1 : 0));
-  metrics_.set(0, queue_depth_id_,
-               static_cast<double>(stats_.peak_queue_depth));
-  metrics_.add(0, admitted_series_locked_(pending->tenant), 1.0);
-  metrics_.observe(0, latency_hist_id_,
+  metrics_.set(queue_depth_id_, static_cast<double>(stats_.peak_queue_depth));
+  metrics_.add(admitted_series_locked_(pending->tenant), 1.0);
+  metrics_.observe(latency_hist_id_,
                    pending->finish_vt - pending->arrival_vt);
-  metrics_.observe(0, queue_hist_id_,
-                   pending->start_vt - pending->arrival_vt);
+  metrics_.observe(queue_hist_id_, pending->start_vt - pending->arrival_vt);
 
   ServeTicket ticket;
   ticket.id = pending->id;
@@ -403,11 +400,11 @@ void Server::complete_locked_(Pending& pending) {
   pending.done = true;
   ++stats_.completed;
   ++stats_.tenants[pending.tenant].completed;
-  metrics_.add(0, completed_id_, 1.0);
+  metrics_.add(completed_id_, 1.0);
   if (!pending.error.empty()) {
     ++stats_.errors;
     ++stats_.tenants[pending.tenant].errors;
-    metrics_.add(0, errors_id_, 1.0);
+    metrics_.add(errors_id_, 1.0);
   }
 }
 

@@ -330,7 +330,7 @@ class Server {
   bool stopping_ = false;  // workers exit once queues are empty
   ServerStats stats_;
 
-  // Serve metric families. One shard; every write happens under mu_.
+  // Serve metric families. Every write and snapshot happens under mu_.
   viz::MetricsRegistry metrics_;
   int queue_depth_id_ = -1;
   int sessions_total_id_ = -1;

@@ -39,12 +39,6 @@ MetricsSnapshot MetricsSnapshot::deterministic_subset() const {
   return out;
 }
 
-MetricsRegistry::MetricsRegistry(int shards) {
-  SAGE_CHECK(shards > 0, "metrics registry needs at least one shard, got ",
-             shards);
-  shards_.resize(static_cast<std::size_t>(shards));
-}
-
 int MetricsRegistry::define(MetricSpec spec) {
   SAGE_CHECK(!spec.name.empty(), "metric needs a name");
   SAGE_CHECK(!lookup(spec.name, spec.labels).has_value(),
@@ -62,13 +56,11 @@ int MetricsRegistry::define(MetricSpec spec) {
                "' is not a histogram; buckets make no sense");
   }
   const int id = static_cast<int>(specs_.size());
-  for (auto& shard : shards_) {
-    Cell cell;
-    if (spec.kind == MetricKind::kHistogram) {
-      cell.bucket_counts.assign(spec.buckets.size() + 1, 0);  // + Inf bucket
-    }
-    shard.push_back(std::move(cell));
+  Cell cell;
+  if (spec.kind == MetricKind::kHistogram) {
+    cell.bucket_counts.assign(spec.buckets.size() + 1, 0);  // + Inf bucket
   }
+  cells_.push_back(std::move(cell));
   specs_.push_back(std::move(spec));
   return id;
 }
@@ -86,13 +78,12 @@ int MetricsRegistry::counter(
 }
 
 int MetricsRegistry::gauge(
-    std::string name, std::string help, Aggregation aggregation,
+    std::string name, std::string help,
     std::vector<std::pair<std::string, std::string>> labels, bool time_based) {
   MetricSpec spec;
   spec.name = std::move(name);
   spec.help = std::move(help);
   spec.kind = MetricKind::kGauge;
-  spec.aggregation = aggregation;
   spec.labels = std::move(labels);
   spec.time_based = time_based;
   return define(std::move(spec));
@@ -122,42 +113,31 @@ std::optional<int> MetricsRegistry::lookup(
   return std::nullopt;
 }
 
-void MetricsRegistry::add(int shard, int id, double delta) {
-  Cell& cell = shards_[static_cast<std::size_t>(shard)]
-                       [static_cast<std::size_t>(id)];
-  cell.value += delta;
-  cell.touched = true;
+void MetricsRegistry::add(int id, double delta) {
+  cells_[static_cast<std::size_t>(id)].value += delta;
 }
 
-void MetricsRegistry::set(int shard, int id, double value) {
-  Cell& cell = shards_[static_cast<std::size_t>(shard)]
-                       [static_cast<std::size_t>(id)];
-  cell.value = value;
-  cell.touched = true;
+void MetricsRegistry::set(int id, double value) {
+  cells_[static_cast<std::size_t>(id)].value = value;
 }
 
-void MetricsRegistry::observe(int shard, int id, double value) {
+void MetricsRegistry::observe(int id, double value) {
   const MetricSpec& spec = specs_[static_cast<std::size_t>(id)];
-  Cell& cell = shards_[static_cast<std::size_t>(shard)]
-                       [static_cast<std::size_t>(id)];
+  Cell& cell = cells_[static_cast<std::size_t>(id)];
   const auto it =
       std::lower_bound(spec.buckets.begin(), spec.buckets.end(), value);
   ++cell.bucket_counts[static_cast<std::size_t>(
       it - spec.buckets.begin())];
   ++cell.count;
   cell.sum += value;
-  cell.touched = true;
 }
 
 void MetricsRegistry::reset() {
-  for (auto& shard : shards_) {
-    for (Cell& cell : shard) {
-      cell.value = 0.0;
-      cell.touched = false;
-      std::fill(cell.bucket_counts.begin(), cell.bucket_counts.end(), 0);
-      cell.count = 0;
-      cell.sum = 0.0;
-    }
+  for (Cell& cell : cells_) {
+    cell.value = 0.0;
+    std::fill(cell.bucket_counts.begin(), cell.bucket_counts.end(), 0);
+    cell.count = 0;
+    cell.sum = 0.0;
   }
 }
 
@@ -166,6 +146,7 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   out.series.reserve(specs_.size());
   for (std::size_t id = 0; id < specs_.size(); ++id) {
     const MetricSpec& spec = specs_[id];
+    const Cell& cell = cells_[id];
     MetricValue v;
     v.name = spec.name;
     v.help = spec.help;
@@ -174,33 +155,11 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     v.time_based = spec.time_based;
     if (spec.kind == MetricKind::kHistogram) {
       v.histogram.bounds = spec.buckets;
-      v.histogram.counts.assign(spec.buckets.size() + 1, 0);
-      for (const auto& shard : shards_) {
-        const Cell& cell = shard[id];
-        for (std::size_t b = 0; b < cell.bucket_counts.size(); ++b) {
-          v.histogram.counts[b] += cell.bucket_counts[b];
-        }
-        v.histogram.count += cell.count;
-        v.histogram.sum += cell.sum;
-      }
+      v.histogram.counts = cell.bucket_counts;
+      v.histogram.count = cell.count;
+      v.histogram.sum = cell.sum;
     } else {
-      bool any = false;
-      for (const auto& shard : shards_) {
-        const Cell& cell = shard[id];
-        if (spec.aggregation == Aggregation::kSum) {
-          v.value += cell.value;
-          continue;
-        }
-        if (!cell.touched) continue;  // kMax/kMin: only written shards vote
-        if (!any) {
-          v.value = cell.value;
-        } else if (spec.aggregation == Aggregation::kMax) {
-          v.value = std::max(v.value, cell.value);
-        } else {
-          v.value = std::min(v.value, cell.value);
-        }
-        any = true;
-      }
+      v.value = cell.value;
     }
     out.series.push_back(std::move(v));
   }

@@ -5,14 +5,14 @@
 // instrumentation probes to measure application performance"; traces
 // answer *when*, metrics answer *how much*. A MetricsRegistry holds a
 // fixed set of metric definitions (counters, gauges, fixed-bucket
-// histograms, optionally labeled) and one value shard per emulated
-// node. Node threads append to their own shard without locking --
-// exactly the EventBuffer threading model -- and snapshot() merges the
-// shards after the run, when the node threads are parked.
+// histograms, optionally labeled) and one value cell per series.
 //
-// Threading model: define*() before the run (single-threaded);
-// add/set/observe during the run, each shard touched by exactly one
-// thread; reset()/snapshot() between runs only.
+// Threading model: the registry does no locking; each owner serialises
+// its own calls. runtime::Session writes and snapshots on its host
+// thread during collection (node threads accumulate into per-ticket
+// shares and never touch the registry), serve::Server does everything
+// under its mutex, and runtime::Tuner from its own thread. snapshot()
+// lists series in definition order.
 #pragma once
 
 #include <cstdint>
@@ -101,17 +101,12 @@ inline constexpr const char* kTunePredictedGain =
 inline constexpr const char* kTuneSwapSeconds = "sage_tune_swap_seconds";
 }  // namespace families
 
-/// How per-shard values fold into one series value at snapshot time.
-/// Counters and histograms always sum; gauges choose.
-enum class Aggregation : std::uint8_t { kSum, kMax, kMin };
-
 /// One labeled metric series. Same name + different labels = distinct
 /// series of one family (the Prometheus data model).
 struct MetricSpec {
   std::string name;  // snake_case family name, e.g. sage_fabric_bytes_total
   std::string help;
   MetricKind kind = MetricKind::kCounter;
-  Aggregation aggregation = Aggregation::kSum;
   std::vector<std::pair<std::string, std::string>> labels;
   /// Histogram bucket upper bounds, strictly increasing; an implicit
   /// +Inf bucket is always appended.
@@ -122,7 +117,7 @@ struct MetricSpec {
   bool time_based = false;
 };
 
-/// Merged histogram state: counts per bucket (the last entry is +Inf),
+/// Histogram state: counts per bucket (the last entry is +Inf),
 /// total count, and sum of observations.
 struct HistogramValue {
   std::vector<double> bounds;
@@ -133,7 +128,7 @@ struct HistogramValue {
   bool operator==(const HistogramValue&) const = default;
 };
 
-/// One merged series in a snapshot.
+/// One series in a snapshot.
 struct MetricValue {
   std::string name;
   std::string help;
@@ -146,7 +141,7 @@ struct MetricValue {
   bool operator==(const MetricValue&) const = default;
 };
 
-/// Point-in-time merged view of a registry, in definition order.
+/// Point-in-time view of a registry, in definition order.
 struct MetricsSnapshot {
   std::vector<MetricValue> series;
 
@@ -169,11 +164,6 @@ struct MetricsSnapshot {
 
 class MetricsRegistry {
  public:
-  /// `shards` is the number of writer threads (one per emulated node);
-  /// at least one.
-  explicit MetricsRegistry(int shards = 1);
-
-  int shard_count() const { return static_cast<int>(shards_.size()); }
   int size() const { return static_cast<int>(specs_.size()); }
 
   /// Registers a series and returns its id. Throws sage::Error on a
@@ -185,7 +175,6 @@ class MetricsRegistry {
               std::vector<std::pair<std::string, std::string>> labels = {},
               bool time_based = false);
   int gauge(std::string name, std::string help,
-            Aggregation aggregation = Aggregation::kSum,
             std::vector<std::pair<std::string, std::string>> labels = {},
             bool time_based = false);
   int histogram(std::string name, std::string help,
@@ -198,29 +187,25 @@ class MetricsRegistry {
       std::string_view name,
       const std::vector<std::pair<std::string, std::string>>& labels) const;
 
-  // --- hot path (lock-free: one thread per shard) --------------------------
-  void add(int shard, int id, double delta);      // counters, gauges
-  void set(int shard, int id, double value);      // gauges
-  void observe(int shard, int id, double value);  // histograms
+  void add(int id, double delta);      // counters, gauges
+  void set(int id, double value);      // gauges (the last write wins)
+  void observe(int id, double value);  // histograms
 
-  /// Zeroes every shard cell; definitions persist (the warm-run reset).
+  /// Zeroes every cell; definitions persist (the warm-run reset).
   void reset();
 
-  /// Merged view across shards. Call only while writer threads are
-  /// parked.
   MetricsSnapshot snapshot() const;
 
  private:
   struct Cell {
     double value = 0.0;
-    bool touched = false;  // gauge kMax/kMin: untouched shards don't vote
     std::vector<std::uint64_t> bucket_counts;
     std::uint64_t count = 0;
     double sum = 0.0;
   };
 
   std::vector<MetricSpec> specs_;
-  std::vector<std::vector<Cell>> shards_;  // [shard][metric id]
+  std::vector<Cell> cells_;  // by metric id
 };
 
 }  // namespace sage::viz

@@ -1,17 +1,20 @@
-// Metrics tests: the registry (definitions, shard merging, histogram
-// bucketing, reset semantics), the exporters (Prometheus exposition,
+// Metrics tests: the registry (definitions, one cell per series,
+// histogram bucketing, reset semantics), the exporters (Prometheus exposition,
 // metrics CSV, human report), and the runtime::Session always-on probes
 // (per-function counters, latency monitors, per-link fabric series) --
 // including the bit-identical determinism contract across warm re-runs
 // and fresh sessions, mirroring session_test's warm/cold matrix.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "apps/benchmarks.hpp"
 #include "apps/pipelines.hpp"
 #include "core/project.hpp"
+#include "net/fault.hpp"
 #include "runtime/session.hpp"
 #include "support/error.hpp"
 #include "viz/exporters.hpp"
@@ -22,42 +25,39 @@ namespace {
 
 // --- registry ---------------------------------------------------------------
 
-TEST(MetricsRegistryTest, CountersSumAcrossShards) {
-  MetricsRegistry registry(3);
+TEST(MetricsRegistryTest, CounterAccumulatesInOneCell) {
+  MetricsRegistry registry;
   const int id = registry.counter("sage_test_total", "help");
-  registry.add(0, id, 1.0);
-  registry.add(1, id, 2.0);
-  registry.add(2, id, 4.0);
-  registry.add(2, id, 8.0);
+  registry.add(id, 1.0);
+  registry.add(id, 2.0);
+  registry.add(id, 4.0);
+  registry.add(id, 8.0);
   const MetricsSnapshot snap = registry.snapshot();
   ASSERT_EQ(snap.series.size(), 1u);
   EXPECT_EQ(snap.series[0].name, "sage_test_total");
   EXPECT_EQ(snap.series[0].kind, MetricKind::kCounter);
-  EXPECT_DOUBLE_EQ(snap.series[0].value, 15.0);
+  EXPECT_EQ(snap.series[0].value, 15.0);
 }
 
-TEST(MetricsRegistryTest, GaugeAggregations) {
-  MetricsRegistry registry(3);
-  const int max_id =
-      registry.gauge("sage_max", "", Aggregation::kMax);
-  const int min_id =
-      registry.gauge("sage_min", "", Aggregation::kMin);
-  registry.set(0, max_id, 5.0);
-  registry.set(2, max_id, -3.0);  // shard 1 untouched: it doesn't vote
-  registry.set(0, min_id, 5.0);
-  registry.set(2, min_id, -3.0);
+TEST(MetricsRegistryTest, GaugeSetOverwrites) {
+  MetricsRegistry registry;
+  const int gauge = registry.gauge("sage_gauge", "");
+  registry.gauge("sage_untouched", "");
+  registry.set(gauge, 5.0);
+  registry.set(gauge, -3.0);  // the last write wins, negative included
   const MetricsSnapshot snap = registry.snapshot();
-  EXPECT_DOUBLE_EQ(snap.find("sage_max")->value, 5.0);
-  EXPECT_DOUBLE_EQ(snap.find("sage_min")->value, -3.0);
+  EXPECT_EQ(snap.find("sage_gauge")->kind, MetricKind::kGauge);
+  EXPECT_EQ(snap.find("sage_gauge")->value, -3.0);
+  EXPECT_EQ(snap.find("sage_untouched")->value, 0.0);
 }
 
 TEST(MetricsRegistryTest, HistogramBucketsAreInclusiveUpperBounds) {
-  MetricsRegistry registry(2);
+  MetricsRegistry registry;
   const int id = registry.histogram("sage_h", "", {1.0, 2.0, 4.0});
-  registry.observe(0, id, 0.5);   // le=1
-  registry.observe(0, id, 2.0);   // le=2 (inclusive, Prometheus style)
-  registry.observe(1, id, 3.0);   // le=4
-  registry.observe(1, id, 100.0); // +Inf
+  registry.observe(id, 0.5);   // le=1
+  registry.observe(id, 2.0);   // le=2 (inclusive, Prometheus style)
+  registry.observe(id, 3.0);   // le=4
+  registry.observe(id, 100.0); // +Inf
   const MetricsSnapshot snap = registry.snapshot();
   const HistogramValue& h = snap.series[0].histogram;
   ASSERT_EQ(h.counts.size(), 4u);  // 3 bounds + +Inf
@@ -70,12 +70,12 @@ TEST(MetricsRegistryTest, HistogramBucketsAreInclusiveUpperBounds) {
 }
 
 TEST(MetricsRegistryTest, LabelsDistinguishSeriesOfOneFamily) {
-  MetricsRegistry registry(1);
+  MetricsRegistry registry;
   const int a = registry.counter("sage_fam", "", {{"k", "a"}});
   const int b = registry.counter("sage_fam", "", {{"k", "b"}});
   EXPECT_NE(a, b);
-  registry.add(0, a, 1.0);
-  registry.add(0, b, 2.0);
+  registry.add(a, 1.0);
+  registry.add(b, 2.0);
   const MetricsSnapshot snap = registry.snapshot();
   EXPECT_DOUBLE_EQ(snap.find("sage_fam", {{"k", "a"}})->value, 1.0);
   EXPECT_DOUBLE_EQ(snap.find("sage_fam", {{"k", "b"}})->value, 2.0);
@@ -85,7 +85,7 @@ TEST(MetricsRegistryTest, LabelsDistinguishSeriesOfOneFamily) {
 }
 
 TEST(MetricsRegistryTest, BadDefinitionsThrow) {
-  MetricsRegistry registry(1);
+  MetricsRegistry registry;
   registry.counter("sage_dup", "", {{"k", "a"}});
   EXPECT_THROW(registry.counter("sage_dup", "", {{"k", "a"}}), Error);
   EXPECT_THROW(registry.counter("", ""), Error);
@@ -94,24 +94,24 @@ TEST(MetricsRegistryTest, BadDefinitionsThrow) {
 }
 
 TEST(MetricsRegistryTest, ResetZeroesValuesButKeepsDefinitions) {
-  MetricsRegistry registry(2);
+  MetricsRegistry registry;
   const int c = registry.counter("sage_c", "");
   const int h = registry.histogram("sage_h", "", {1.0});
-  registry.add(0, c, 7.0);
-  registry.observe(1, h, 0.5);
+  registry.add(c, 7.0);
+  registry.observe(h, 0.5);
   registry.reset();
   EXPECT_EQ(registry.size(), 2);  // ids survive
   const MetricsSnapshot snap = registry.snapshot();
   EXPECT_DOUBLE_EQ(snap.find("sage_c")->value, 0.0);
   EXPECT_EQ(snap.find("sage_h")->histogram.count, 0u);
   // The zeroed snapshot equals a never-touched registry's snapshot.
-  registry.add(0, c, 7.0);
+  registry.add(c, 7.0);
   registry.reset();
   EXPECT_EQ(registry.snapshot(), snap);
 }
 
 TEST(MetricsSnapshotTest, DeterministicSubsetDropsTimeBasedSeries) {
-  MetricsRegistry registry(1);
+  MetricsRegistry registry;
   registry.counter("sage_busy_seconds", "", {}, /*time_based=*/true);
   registry.counter("sage_calls", "");
   const MetricsSnapshot snap = registry.snapshot();
@@ -124,20 +124,20 @@ TEST(MetricsSnapshotTest, DeterministicSubsetDropsTimeBasedSeries) {
 // --- exporters --------------------------------------------------------------
 
 MetricsSnapshot exporter_sample() {
-  MetricsRegistry registry(1);
+  MetricsRegistry registry;
   // Interleaved families, as the per-link series are defined.
   const int a0 = registry.counter("sage_a_total", "family a", {{"l", "0"}});
   const int b0 = registry.counter("sage_b_total", "family b", {{"l", "0"}});
   const int a1 = registry.counter("sage_a_total", "", {{"l", "1"}});
   const int b1 = registry.counter("sage_b_total", "", {{"l", "1"}});
   const int h = registry.histogram("sage_lat", "latency", {0.1, 1.0});
-  registry.add(0, a0, 1.0);
-  registry.add(0, b0, 2.0);
-  registry.add(0, a1, 3.0);
-  registry.add(0, b1, 4.0);
-  registry.observe(0, h, 0.05);
-  registry.observe(0, h, 0.5);
-  registry.observe(0, h, 5.0);
+  registry.add(a0, 1.0);
+  registry.add(b0, 2.0);
+  registry.add(a1, 3.0);
+  registry.add(b1, 4.0);
+  registry.observe(h, 0.05);
+  registry.observe(h, 0.5);
+  registry.observe(h, 5.0);
   return registry.snapshot();
 }
 
@@ -170,7 +170,7 @@ TEST(ExportersTest, PrometheusHistogramIsCumulative) {
 }
 
 TEST(ExportersTest, PrometheusEscapesLabelValues) {
-  MetricsRegistry registry(1);
+  MetricsRegistry registry;
   registry.counter("sage_esc_total", "", {{"f", "a\"b\\c\nd"}});
   const std::string text = prometheus_text(registry.snapshot());
   EXPECT_NE(text.find("f=\"a\\\"b\\\\c\\nd\""), std::string::npos) << text;
@@ -258,6 +258,145 @@ TEST(SessionMetricsTest, LatencyThresholdMonitorCounts) {
   const runtime::RunStats calm = project.execute(options);
   EXPECT_DOUBLE_EQ(calm.metrics.find(families::kLatencyViolations)->value,
                    0.0);
+}
+
+TEST(SessionMetricsTest, RunStatsFieldsMatchTheirFamilies) {
+  // Four nodes with one dead leave three survivors, so remote links --
+  // and the link fault series -- remain.
+  auto plan = std::make_shared<net::FaultPlan>(net::FaultPlan::parse(
+      "fault-plan 1\n"
+      "seed 11\n"
+      "drop link=* p=0.2\n"
+      "corrupt link=* p=0.2 bytes=4\n"
+      "delay link=* p=0.3 vt=1e-4\n"
+      "stall node=0 iter=1 vt=1e-3\n"
+      "dead node=3\n"));
+  runtime::ExecuteOptions options = fast_options(4);
+  options.fault_plan = plan;
+  core::Project project(apps::make_cornerturn_workspace(64, 4));
+  const runtime::RunStats stats = project.execute(options);
+
+  const auto value = [&](const char* name, const char* kind = nullptr) {
+    const MetricValue* v =
+        kind == nullptr ? stats.metrics.find(name, {})
+                        : stats.metrics.find(name, {{"kind", kind}});
+    EXPECT_NE(v, nullptr) << name;
+    return v == nullptr ? -1.0 : v->value;
+  };
+  const runtime::FaultStats& faults = stats.faults;
+  EXPECT_GT(faults.injected_drops, 0u);
+  EXPECT_GT(faults.injected_corruptions, 0u);
+  EXPECT_GT(faults.injected_delays, 0u);
+  EXPECT_GT(faults.retries, 0u);
+  EXPECT_GT(faults.timeouts, 0u);
+  EXPECT_GT(faults.corruptions_detected, 0u);
+  EXPECT_GT(faults.stalls, 0u);
+  EXPECT_EQ(faults.degraded_nodes, 1);
+  EXPECT_EQ(value(families::kFaultsInjected, "drop"),
+            static_cast<double>(faults.injected_drops));
+  EXPECT_EQ(value(families::kFaultsInjected, "corrupt"),
+            static_cast<double>(faults.injected_corruptions));
+  EXPECT_EQ(value(families::kFaultsInjected, "delay"),
+            static_cast<double>(faults.injected_delays));
+  EXPECT_EQ(value(families::kFaultRetries),
+            static_cast<double>(faults.retries));
+  EXPECT_EQ(value(families::kFaultTimeouts),
+            static_cast<double>(faults.timeouts));
+  EXPECT_EQ(value(families::kFaultCorruptFrames),
+            static_cast<double>(faults.corruptions_detected));
+  EXPECT_EQ(value(families::kFaultStalls), static_cast<double>(faults.stalls));
+  EXPECT_EQ(value(families::kDegradedNodes),
+            static_cast<double>(faults.degraded_nodes));
+
+  const runtime::DataPlaneStats& data = stats.data_plane;
+  EXPECT_GT(data.bytes_copied, 0u);
+  EXPECT_GT(data.bytes_moved, 0u);
+  EXPECT_EQ(value(families::kDataBytesCopied),
+            static_cast<double>(data.bytes_copied));
+  EXPECT_EQ(value(families::kDataBytesMoved),
+            static_cast<double>(data.bytes_moved));
+  EXPECT_EQ(value(families::kPoolHits), static_cast<double>(data.pool_hits));
+  EXPECT_EQ(value(families::kPoolMisses),
+            static_cast<double>(data.pool_misses));
+  EXPECT_EQ(value(families::kPoolBlocks),
+            static_cast<double>(data.pool_blocks));
+
+  // The per-link retransmit series add up to the fault counter.
+  double link_retransmits = 0.0;
+  for (const MetricValue& v : stats.metrics.series) {
+    if (v.name == families::kLinkRetransmits) link_retransmits += v.value;
+  }
+  EXPECT_EQ(link_retransmits, static_cast<double>(faults.retries));
+}
+
+/// One line per series: name{labels} kind, plus " time" when time-based.
+std::vector<std::string> series_shape(const MetricsSnapshot& snapshot) {
+  std::vector<std::string> out;
+  for (const MetricValue& v : snapshot.series) {
+    std::string line = v.name + "{";
+    for (std::size_t i = 0; i < v.labels.size(); ++i) {
+      line += (i > 0 ? "," : "") + v.labels[i].first + "=" +
+              v.labels[i].second;
+    }
+    line += std::string("} ") + to_string(v.kind);
+    if (v.time_based) line += " time";
+    out.push_back(std::move(line));
+  }
+  return out;
+}
+
+TEST(SessionMetricsTest, SeriesOrderIsPinned) {
+  // Snapshot order is definition order, and the Prometheus text and
+  // metrics CSV follow it: pin it for a plan-cached corner turn.
+  const std::string cache_dir = "metrics_test_series_order_cache";
+  std::filesystem::remove_all(cache_dir);
+  runtime::ExecuteOptions options = fast_options();
+  options.plan_cache_dir = cache_dir;
+  core::Project project(apps::make_cornerturn_workspace(64, 2));
+  const runtime::RunStats stats = project.execute(options);
+  std::filesystem::remove_all(cache_dir);
+
+  const std::vector<std::string> expected = {
+      "sage_function_busy_seconds_total{function=src} counter time",
+      "sage_function_busy_seconds_total{function=corner_turn} counter time",
+      "sage_function_busy_seconds_total{function=sink} counter time",
+      "sage_function_invocations_total{function=src} counter",
+      "sage_function_invocations_total{function=corner_turn} counter",
+      "sage_function_invocations_total{function=sink} counter",
+      "sage_stage_occupancy_ratio{function=src} gauge time",
+      "sage_stage_occupancy_ratio{function=corner_turn} gauge time",
+      "sage_stage_occupancy_ratio{function=sink} gauge time",
+      "sage_stream_period_seconds{} gauge time",
+      "sage_iterations_total{} counter",
+      "sage_iteration_latency_seconds{} histogram time",
+      "sage_latency_violations_total{} counter time",
+      "sage_latency_threshold_seconds{} gauge",
+      "sage_run_makespan_seconds{} gauge time",
+      "sage_faults_injected_total{kind=drop} counter",
+      "sage_faults_injected_total{kind=corrupt} counter",
+      "sage_faults_injected_total{kind=delay} counter",
+      "sage_fault_retries_total{} counter",
+      "sage_fault_timeouts_total{} counter",
+      "sage_fault_corrupt_frames_total{} counter",
+      "sage_fault_stalls_total{} counter",
+      "sage_degraded_nodes{} gauge",
+      "sage_data_bytes_copied_total{} counter",
+      "sage_data_bytes_moved_total{} counter",
+      "sage_buffer_pool_hits_total{} counter time",
+      "sage_buffer_pool_misses_total{} counter time",
+      "sage_buffer_pool_blocks{} gauge time",
+      "sage_program_compile_seconds{} gauge time",
+      "sage_plan_cache_lookups_total{outcome=miss} counter time",
+      "sage_link_messages_total{src=0,dst=1} counter",
+      "sage_link_bytes_total{src=0,dst=1} counter",
+      "sage_link_retransmits_total{src=0,dst=1} counter",
+      "sage_link_busy_seconds_total{src=0,dst=1} counter",
+      "sage_link_messages_total{src=1,dst=0} counter",
+      "sage_link_bytes_total{src=1,dst=0} counter",
+      "sage_link_retransmits_total{src=1,dst=0} counter",
+      "sage_link_busy_seconds_total{src=1,dst=0} counter",
+  };
+  EXPECT_EQ(series_shape(stats.metrics), expected);
 }
 
 TEST(SessionMetricsTest, ReportRendersSessionMetrics) {

@@ -666,6 +666,18 @@ TEST(ProgramSharingTest, CompileMetricsSurfaceInRunStats) {
                                    {{"outcome", "hit"}}),
             nullptr);
 
+  // recover() swaps in a program compiled without the cache: later runs
+  // count no lookup for it, and the compile time is the new program's.
+  hit.recover({1});
+  const RunStats recovered = hit.run();
+  const viz::MetricValue* stale = recovered.metrics.find(
+      viz::families::kPlanCacheLookups, {{"outcome", "hit"}});
+  ASSERT_NE(stale, nullptr);  // series definitions persist across runs
+  EXPECT_EQ(stale->value, 0.0);
+  EXPECT_EQ(
+      recovered.metrics.find(viz::families::kProgramCompileSeconds)->value,
+      hit.program().compile_seconds);
+
   // Cache-less sessions define no lookup series at all.
   Session off(config, registry, quiet_options());
   EXPECT_EQ(off.run().metrics.find(viz::families::kPlanCacheLookups), nullptr);
