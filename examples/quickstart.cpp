@@ -13,7 +13,7 @@
 #include "model/hardware.hpp"
 #include "model/mapping.hpp"
 #include "model/shelf.hpp"
-#include "viz/analysis.hpp"
+#include "viz/exporters.hpp"
 
 using namespace sage;
 
@@ -83,6 +83,6 @@ int main() {
               stats.results.at("sink")[0]);
 
   // --- 4. Visualizer --------------------------------------------------------------
-  std::printf("%s", viz::summary_report(stats.trace).c_str());
+  std::printf("%s", viz::report(stats.trace, stats.metrics).c_str());
   return 0;
 }

@@ -18,6 +18,7 @@
 #include "model/hardware.hpp"
 #include "model/mapping.hpp"
 #include "viz/analysis.hpp"
+#include "viz/exporters.hpp"
 
 using namespace sage;
 
@@ -120,7 +121,7 @@ int main() {
               stats.mean_latency() * 1e3, stats.period * 1e3);
   std::printf("post-threshold energy per iteration:");
   for (double v : stats.results.at("detections")) std::printf(" %.1f", v);
-  std::printf("\n\n%s", viz::summary_report(stats.trace).c_str());
+  std::printf("\n\n%s", viz::report(stats.trace, stats.metrics).c_str());
 
   // The Visualizer's bottleneck finder, as the paper describes using it.
   if (const auto bn = viz::bottleneck(stats.trace)) {

@@ -22,7 +22,7 @@
 #include "model/app.hpp"
 #include "model/hardware.hpp"
 #include "model/mapping.hpp"
-#include "viz/analysis.hpp"
+#include "viz/exporters.hpp"
 
 using namespace sage;
 
@@ -118,6 +118,6 @@ int main() {
               stats.mean_latency() * 1e3, stats.period * 1e3);
   std::printf("detection-map energy per iteration:");
   for (double v : stats.results.at("detection_map")) std::printf(" %.3e", v);
-  std::printf("\n\n%s", viz::summary_report(stats.trace).c_str());
+  std::printf("\n\n%s", viz::report(stats.trace, stats.metrics).c_str());
   return 0;
 }

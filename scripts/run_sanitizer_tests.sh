@@ -50,7 +50,7 @@ case "$flavor" in
       random_graph_test serve_test transport_test tuner_test \
       alter_test alter_script_test codegen_test codegen_golden_test \
       isspl_test"
-    filter='(Fabric|Session|Streaming|Striping|Redistribution|Fault|Degraded|Pipeline|Metrics|Trace|Analysis|Export|Program|PlanCache|RandomChain|Diamond|Serve|Transport|Shmem|Tuner|Alter|Reader|Eval|Builtin|Emit|Vm|Codegen|Fft|Transpose)'
+    filter='(Fabric|Session|DataPlane|Streaming|Striping|Redistribution|Fault|Degraded|Pipeline|Metrics|Trace|Analysis|Export|Program|PlanCache|RandomChain|Diamond|Serve|Transport|Shmem|Tuner|Alter|Reader|Eval|Builtin|Emit|Vm|Codegen|Fft|Transpose)'
     ;;
   tsan)
     cmake_flag=-DSAGE_TSAN=ON
@@ -58,7 +58,7 @@ case "$flavor" in
       fault_test viz_test metrics_test program_test random_graph_test \
       serve_test transport_test tuner_test \
       alter_test alter_script_test codegen_test codegen_golden_test"
-    filter='(Machine|Fabric|Mpi|Executor|Session|Streaming|Redistribution|WarmCold|Fault|Degraded|Metrics|Trace|Analysis|Export|Program|PlanCache|RandomChain|Diamond|Serve|Transport|Shmem|Tuner|Alter|Reader|Eval|Builtin|Emit|Vm|Codegen)'
+    filter='(Machine|Fabric|Mpi|Executor|Session|DataPlane|Streaming|Redistribution|WarmCold|Fault|Degraded|Metrics|Trace|Analysis|Export|Program|PlanCache|RandomChain|Diamond|Serve|Transport|Shmem|Tuner|Alter|Reader|Eval|Builtin|Emit|Vm|Codegen)'
     ;;
   ubsan)
     cmake_flag=-DSAGE_UBSAN=ON
@@ -66,7 +66,7 @@ case "$flavor" in
       integration_pipeline_test isspl_test registry_test metrics_test \
       program_test random_graph_test serve_test transport_test tuner_test \
       alter_test alter_script_test codegen_test codegen_golden_test"
-    filter='(Fabric|Session|Streaming|Striping|Redistribution|Fault|Degraded|Pipeline|Fft|Transpose|Kernel|Plan|Metrics|Program|PlanCache|RandomChain|Diamond|Serve|Transport|Shmem|Tuner|Alter|Reader|Eval|Builtin|Emit|Vm|Codegen)'
+    filter='(Fabric|Session|DataPlane|Streaming|Striping|Redistribution|Fault|Degraded|Pipeline|Fft|Transpose|Kernel|Plan|Metrics|Program|PlanCache|RandomChain|Diamond|Serve|Transport|Shmem|Tuner|Alter|Reader|Eval|Builtin|Emit|Vm|Codegen)'
     ;;
   *)
     echo "usage: $0 <asan|tsan|ubsan> [build-dir]" >&2

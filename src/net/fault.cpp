@@ -1,6 +1,10 @@
 #include "net/fault.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <climits>
+#include <iomanip>
+#include <limits>
 #include <sstream>
 
 #include "support/error.hpp"
@@ -72,8 +76,38 @@ double FaultPlan::stall_vt(int node, int iteration) const {
 
 namespace {
 
+// Bounds the text format enforces (docs/RUNTIME.md "Plan format"): a
+// transfer gets at most 64 tries, a corruption flips at most 64 KiB,
+// and every double is finite.
+constexpr long long kMaxAttempts = 64;
+constexpr long long kMaxCorruptBytes = 65536;
+constexpr double kMaxDouble = std::numeric_limits<double>::max();
+
+/// Parses the number `text` of field `field` on plan line `line`. Text
+/// that is not a T, or a value outside [lo, hi], is a ConfigError
+/// naming the line -- never a silent truncation into a narrower field.
+template <typename T>
+T plan_number(std::string_view text, T lo, T hi, int line,
+              const char* field) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end || !(value >= lo && value <= hi)) {
+    raise<ConfigError>("fault plan line ", line, ": ", field, " '",
+                       std::string(text), "' is not a number in [", lo,
+                       ", ", hi, "]");
+  }
+  return value;
+}
+
+/// A node rank or iteration index.
+int plan_index(std::string_view text, int line, const char* field) {
+  return static_cast<int>(
+      plan_number<long long>(text, 0, INT_MAX, line, field));
+}
+
 /// Parses "a->b" / "*" / "*->b" / "a->*" into (src, dst); -1 = any.
-void parse_link(std::string_view spec, int& src, int& dst) {
+void parse_link(std::string_view spec, int line, int& src, int& dst) {
   src = dst = -1;
   if (spec == "*") return;
   const auto arrow = spec.find("->");
@@ -82,8 +116,8 @@ void parse_link(std::string_view spec, int& src, int& dst) {
                 "' (want 'src->dst' or '*')");
   const std::string_view a = spec.substr(0, arrow);
   const std::string_view b = spec.substr(arrow + 2);
-  if (a != "*") src = static_cast<int>(support::parse_int(a));
-  if (b != "*") dst = static_cast<int>(support::parse_int(b));
+  if (a != "*") src = plan_index(a, line, "link src");
+  if (b != "*") dst = plan_index(b, line, "link dst");
 }
 
 /// Splits "key=value"; throws on missing '='.
@@ -113,8 +147,7 @@ FaultPlan FaultPlan::parse(std::string_view text) {
     const std::string& word = tokens[0];
 
     if (word == "fault-plan") {
-      SAGE_CHECK_AS(ConfigError,
-                    tokens.size() == 2 && support::parse_int(tokens[1]) == 1,
+      SAGE_CHECK_AS(ConfigError, tokens.size() == 2 && tokens[1] == "1",
                     "fault plan line ", line_number,
                     ": unsupported version");
       saw_header = true;
@@ -126,27 +159,25 @@ FaultPlan FaultPlan::parse(std::string_view text) {
     if (word == "seed") {
       SAGE_CHECK_AS(ConfigError, tokens.size() == 2, "fault plan line ",
                     line_number, ": seed wants one value");
-      plan.seed = static_cast<std::uint64_t>(support::parse_int(tokens[1]));
+      plan.seed = plan_number<std::uint64_t>(
+          tokens[1], 0, std::numeric_limits<std::uint64_t>::max(),
+          line_number, "seed");
     } else if (word == "detect-timeout") {
       SAGE_CHECK_AS(ConfigError, tokens.size() == 2, "fault plan line ",
                     line_number, ": detect-timeout wants one value");
-      plan.detect_timeout_vt = support::parse_double(tokens[1]);
-      SAGE_CHECK_AS(ConfigError, plan.detect_timeout_vt >= 0,
-                    "fault plan line ", line_number,
-                    ": detect-timeout must be >= 0");
+      plan.detect_timeout_vt =
+          plan_number(tokens[1], 0.0, kMaxDouble, line_number,
+                      "detect-timeout");
     } else if (word == "backoff") {
       SAGE_CHECK_AS(ConfigError, tokens.size() == 2, "fault plan line ",
                     line_number, ": backoff wants one value");
-      plan.backoff_factor = support::parse_double(tokens[1]);
-      SAGE_CHECK_AS(ConfigError, plan.backoff_factor >= 1.0,
-                    "fault plan line ", line_number,
-                    ": backoff must be >= 1");
+      plan.backoff_factor =
+          plan_number(tokens[1], 1.0, kMaxDouble, line_number, "backoff");
     } else if (word == "max-attempts") {
       SAGE_CHECK_AS(ConfigError, tokens.size() == 2, "fault plan line ",
                     line_number, ": max-attempts wants one value");
-      plan.max_attempts = static_cast<int>(support::parse_int(tokens[1]));
-      SAGE_CHECK_AS(ConfigError, plan.max_attempts >= 1, "fault plan line ",
-                    line_number, ": max-attempts must be >= 1");
+      plan.max_attempts = static_cast<int>(plan_number<long long>(
+          tokens[1], 1, kMaxAttempts, line_number, "max-attempts"));
     } else if (word == "drop" || word == "corrupt" || word == "delay") {
       LinkFaultRule rule;
       rule.kind = (word == "drop")      ? FaultKind::kDrop
@@ -155,23 +186,19 @@ FaultPlan FaultPlan::parse(std::string_view text) {
       for (std::size_t i = 1; i < tokens.size(); ++i) {
         const auto [key, value] = key_value(tokens[i], line_number);
         if (key == "link") {
-          parse_link(value, rule.src, rule.dst);
+          parse_link(value, line_number, rule.src, rule.dst);
         } else if (key == "p") {
-          rule.probability = support::parse_double(value);
-          SAGE_CHECK_AS(ConfigError,
-                        rule.probability >= 0 && rule.probability <= 1,
-                        "fault plan line ", line_number,
-                        ": probability outside [0, 1]");
+          rule.probability = plan_number(value, 0.0, 1.0, line_number, "p");
         } else if (key == "at") {
-          rule.at_index = support::parse_int(value);
+          rule.at_index = plan_number<std::int64_t>(
+              value, 0, std::numeric_limits<std::int64_t>::max(),
+              line_number, "at");
         } else if (key == "vt") {
-          rule.delay_vt = support::parse_double(value);
+          rule.delay_vt =
+              plan_number(value, 0.0, kMaxDouble, line_number, "vt");
         } else if (key == "bytes") {
-          rule.corrupt_bytes =
-              static_cast<std::size_t>(support::parse_int(value));
-          SAGE_CHECK_AS(ConfigError, rule.corrupt_bytes > 0,
-                        "fault plan line ", line_number,
-                        ": corrupt bytes must be > 0");
+          rule.corrupt_bytes = static_cast<std::size_t>(plan_number<long long>(
+              value, 1, kMaxCorruptBytes, line_number, "bytes"));
         } else {
           raise<ConfigError>("fault plan line ", line_number,
                              ": unknown field '", key, "'");
@@ -191,15 +218,14 @@ FaultPlan FaultPlan::parse(std::string_view text) {
       for (std::size_t i = 1; i < tokens.size(); ++i) {
         const auto [key, value] = key_value(tokens[i], line_number);
         if (key == "node") {
-          rule.node = (value == "*")
-                          ? -1
-                          : static_cast<int>(support::parse_int(value));
+          rule.node =
+              (value == "*") ? -1 : plan_index(value, line_number, "node");
         } else if (key == "iter") {
-          rule.iteration = (value == "*")
-                               ? -1
-                               : static_cast<int>(support::parse_int(value));
+          rule.iteration =
+              (value == "*") ? -1 : plan_index(value, line_number, "iter");
         } else if (key == "vt") {
-          rule.stall_vt = support::parse_double(value);
+          rule.stall_vt =
+              plan_number(value, 0.0, kMaxDouble, line_number, "vt");
         } else {
           raise<ConfigError>("fault plan line ", line_number,
                              ": unknown field '", key, "'");
@@ -214,7 +240,7 @@ FaultPlan FaultPlan::parse(std::string_view text) {
       const auto [key, value] = key_value(tokens[1], line_number);
       SAGE_CHECK_AS(ConfigError, key == "node", "fault plan line ",
                     line_number, ": dead wants node=<rank>");
-      plan.dead_nodes.push_back(static_cast<int>(support::parse_int(value)));
+      plan.dead_nodes.push_back(plan_index(value, line_number, "node"));
     } else {
       raise<ConfigError>("fault plan line ", line_number,
                          ": unknown directive '", word, "'");
@@ -248,6 +274,7 @@ std::string link_spec(int src, int dst) {
 
 std::string FaultPlan::serialize() const {
   std::ostringstream os;
+  os << std::setprecision(std::numeric_limits<double>::max_digits10);
   os << "fault-plan 1\n";
   os << "seed " << seed << "\n";
   os << "detect-timeout " << detect_timeout_vt << "\n";

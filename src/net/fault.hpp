@@ -18,10 +18,10 @@
 //   seed 42
 //   detect-timeout 1e-4          # modeled loss-detection timeout (vt s)
 //   backoff 2.0                  # retransmit backoff multiplier
-//   max-attempts 8               # per transfer, including the first try
+//   max-attempts 8               # per transfer, first try included; 1..64
 //   drop link=0->1 p=0.25        # Bernoulli drop on one link
 //   drop link=* at=3             # drop the 4th eligible message, every link
-//   corrupt link=* p=0.1 bytes=8 # flip 8 payload bytes
+//   corrupt link=* p=0.1 bytes=8 # flip 8 payload bytes; 1..65536
 //   delay link=2->0 p=0.5 vt=2e-3
 //   stall node=1 iter=2 vt=0.01  # node 1 stalls 10ms at iteration 2
 //   dead node=3                  # node 3 is down; run degraded
@@ -104,8 +104,8 @@ class FaultPlan {
   /// `iteration`.
   double stall_vt(int node, int iteration) const;
 
-  /// Parses the text format above; throws sage::ConfigError on
-  /// malformed input.
+  /// Parses the text format above; throws sage::ConfigError naming the
+  /// line on malformed input or a value that does not fit its field.
   static FaultPlan parse(std::string_view text);
 
   /// Serializes to the text format (parse round-trips).

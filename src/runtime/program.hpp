@@ -73,7 +73,8 @@ struct TransferOp {
   std::size_t bytes = 0;
   /// Single-segment transfer: the wire layout equals one contiguous
   /// slice of the source staging (and lands as one contiguous slice of
-  /// the destination staging), so the zero-copy fast paths apply.
+  /// the destination staging). A clean, shared send of such an op is
+  /// modeled as a DMA gather, uncharged to the node's compute clock.
   bool contiguous = false;
   std::vector<ByteSeg> segs;
   int src_slot = -1;  // staging slot on the producer node

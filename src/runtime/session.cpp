@@ -8,6 +8,7 @@
 #include <bit>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <tuple>
 
 #include "runtime/compiler.hpp"
@@ -95,33 +96,7 @@ struct Session::StreamTicket {
 
 namespace {
 
-/// Gathers compiled segments from the source staging into the packed
-/// wire layout.
-void pack_bytes(const std::vector<ByteSeg>& segs,
-                std::span<const std::byte> src, std::span<std::byte> packed) {
-  for (const ByteSeg& s : segs) {
-    std::memcpy(packed.data() + s.packed_off, src.data() + s.src_off, s.len);
-  }
-}
-
-/// Scatters the packed wire layout into the destination staging.
-void unpack_bytes(const std::vector<ByteSeg>& segs,
-                  std::span<const std::byte> packed, std::span<std::byte> dst) {
-  for (const ByteSeg& s : segs) {
-    std::memcpy(dst.data() + s.dst_off, packed.data() + s.packed_off, s.len);
-  }
-}
-
-/// Direct staging-to-staging copy (kShared local fast path: one pass,
-/// no intermediate layout).
-void copy_bytes(const std::vector<ByteSeg>& segs,
-                std::span<const std::byte> src, std::span<std::byte> dst) {
-  for (const ByteSeg& s : segs) {
-    std::memcpy(dst.data() + s.dst_off, src.data() + s.src_off, s.len);
-  }
-}
-
-// --- fault-mode transfer framing -------------------------------------------
+// --- data-plane framing and the one segment copy --------------------------
 // Under an active fault plan every remote payload (data and flow-control
 // credits) travels inside a checksummed frame, so receivers can reject
 // corrupted deliveries without trusting fabric metadata: a corruption
@@ -131,21 +106,25 @@ void copy_bytes(const std::vector<ByteSeg>& segs,
 // shmem transport backend puts on every cross-process parcel.
 
 using net::fnv1a_accum;
-using net::frame_valid;
 using net::kFnvOffsetBasis;
 using net::kFrameHeaderBytes;
-using net::write_frame_header;
 
-/// Gathers compiled segments straight into a frame body while folding
-/// the FNV-1a checksum into the copy pass (each segment is hashed while
-/// still cache-hot). The hash order equals the packed byte order.
-std::uint64_t pack_bytes_hashed(const std::vector<ByteSeg>& segs,
-                                std::span<const std::byte> src,
-                                std::span<std::byte> packed) {
+/// Which ByteSeg offset locates a segment in a buffer: src_off in the
+/// producer's staging, dst_off in the consumer's, packed_off in the
+/// packed layout a payload and a logical buffer share.
+using SegOffset = std::size_t ByteSeg::*;
+
+/// Copies every compiled segment from `src` at `s.*from` to `dst` at
+/// `s.*to`. With `hash`, FNV-1a folds over each segment while it is
+/// still cache-hot; segments run in packed order, so a copy into the
+/// packed layout returns the checksum of the whole body in one pass.
+std::uint64_t copy_segs(const std::vector<ByteSeg>& segs, SegOffset from,
+                        SegOffset to, std::span<const std::byte> src,
+                        std::span<std::byte> dst, bool hash) {
   std::uint64_t h = kFnvOffsetBasis;
   for (const ByteSeg& s : segs) {
-    std::memcpy(packed.data() + s.packed_off, src.data() + s.src_off, s.len);
-    h = fnv1a_accum(h, packed.data() + s.packed_off, s.len);
+    std::memcpy(dst.data() + s.*to, src.data() + s.*from, s.len);
+    if (hash) h = fnv1a_accum(h, dst.data() + s.*to, s.len);
   }
   return h;
 }
@@ -979,7 +958,20 @@ void Session::stream_worker_(net::NodeContext& node) {
     }
   };
 
+  // A node died: poison every ticket this node never started so
+  // completion bookkeeping converges (stream_mu_ held). No further
+  // tickets can join a failed epoch (submit_ checks under that mutex),
+  // so the sweep is complete.
   std::size_t cursor = 0;
+  const auto poison_unstarted = [&] {
+    for (; cursor < epoch_tickets_.size(); ++cursor) {
+      land(*epoch_tickets_[cursor],
+           std::make_exception_ptr(
+               RuntimeError("streaming epoch aborted by a node failure")),
+           /*poison=*/true);
+    }
+  };
+
   for (;;) {
     std::shared_ptr<StreamTicket> ticket;
     {
@@ -989,16 +981,7 @@ void Session::stream_worker_(net::NodeContext& node) {
                cursor < epoch_tickets_.size();
       });
       if (epoch_failed_) {
-        // A node died: poison every ticket this node never started so
-        // completion bookkeeping converges, then leave the dispatch.
-        // No further tickets can join a failed epoch (submit_ checks
-        // under this mutex), so the sweep is complete.
-        for (; cursor < epoch_tickets_.size(); ++cursor) {
-          land(*epoch_tickets_[cursor],
-               std::make_exception_ptr(RuntimeError(
-                   "streaming epoch aborted by a node failure")),
-               /*poison=*/true);
-        }
+        poison_unstarted();
         return;
       }
       if (cursor >= epoch_tickets_.size()) return;  // epoch closing
@@ -1015,12 +998,7 @@ void Session::stream_worker_(net::NodeContext& node) {
     std::lock_guard<std::mutex> lock(stream_mu_);
     land(*ticket, std::move(error));
     if (epoch_failed_) {
-      for (; cursor < epoch_tickets_.size(); ++cursor) {
-        land(*epoch_tickets_[cursor],
-             std::make_exception_ptr(RuntimeError(
-                 "streaming epoch aborted by a node failure")),
-             /*poison=*/true);
-      }
+      poison_unstarted();
       stream_cv_.notify_all();  // wake peers into their poison sweep
       return;
     }
@@ -1215,20 +1193,16 @@ void Session::run_node_ticket_(net::NodeContext& node, StreamTicket& ticket) {
     return epoch_streaming_ ? op.ring_depth : 0;
   };
 
-  // Fault mode: with an active plan, every remote transfer (data and
-  // flow-control credits) travels framed over the reliable fabric path.
-  // The happy path below is untouched when `faulty` is false -- that is
-  // the bit-identical contract.
+  // Fault mode is data, not a second path: with an active plan every
+  // remote payload (data and credits) carries a frame header before
+  // its body, and the receive validates each delivery. Without one the
+  // fabric has no plan attached, so send_reliable is a plain send and
+  // every delivery is clean -- the bit-identical contract.
   const net::FaultPlan* plan = epoch_plan_.get();
   const bool faulty = epoch_faulty_;
+  const std::size_t frame_off = faulty ? kFrameHeaderBytes : 0;
   net::Fabric& fabric = node.fabric();
   net::BufferPool& pool = fabric.pool();
-
-  // Cached flow-control credit payloads (content is constant, so one
-  // pooled block serves every credit send of the run; the fabric's
-  // copy-on-write keeps injected corruption off the shared block).
-  net::Payload credit_payload;  // fault-free path: one zero byte
-  net::Payload credit_frame;    // fault path: framed zero byte
 
   // One trace event spanning [start_vt, now] on this node.
   const auto record_event = [&](viz::EventKind kind, int fn_id, int t,
@@ -1253,16 +1227,23 @@ void Session::run_node_ticket_(net::NodeContext& node, StreamTicket& ticket) {
                  std::move(label));
   };
 
-  /// Reliable framed send (fault mode only). The payload is a complete
-  /// frame; the fabric resolves the whole retransmit exchange, the
-  /// sender's clock joins the post-ARQ time, and each retransmit is
-  /// surfaced as a kRetry event.
-  const auto send_framed = [&](int dst_node, int tag, net::Payload frame,
-                               std::size_t body_bytes, int fn_id, int t,
-                               int iter, const std::string& label) {
+  /// Seals `frame` under an active plan: the header before the body at
+  /// frame_off, carrying the body's checksum.
+  const auto seal = [&](std::span<std::byte> frame, std::uint64_t checksum) {
+    if (faulty) {
+      net::write_frame_header(frame, frame.size() - frame_off, checksum);
+    }
+  };
+
+  /// The one send. The fabric resolves the whole retransmit exchange
+  /// (one attempt without a plan), the sender's clock joins the post-ARQ
+  /// time, and each retransmit is surfaced as a kRetry event.
+  const auto send = [&](int dst_node, int tag, net::Payload payload,
+                        std::size_t body_bytes, int fn_id, int t, int iter,
+                        const std::string& label) {
     const double t_before = node.now();
     const net::SendReceipt receipt = fabric.send_reliable(
-        rank, dst_node, tag, std::move(frame), node.now());
+        rank, dst_node, tag, std::move(payload), node.now());
     node.clock().join(receipt.sender_after);
     if (trace) {
       for (int attempt = 1; attempt < receipt.attempts; ++attempt) {
@@ -1272,19 +1253,20 @@ void Session::run_node_ticket_(net::NodeContext& node, StreamTicket& ticket) {
     }
   };
 
-  /// Reliable framed receive (fault mode only): consumes deliveries in
-  /// arrival order, counting drop tombstones (loss-detection timeouts)
-  /// and rejecting invalid frames until a clean one lands. The frame
-  /// checksum -- not the fabric's fault flag -- is the integrity oracle,
-  /// so corruption whose flips cancel is rightly accepted. Returns the
-  /// whole pooled frame (header included).
-  const auto recv_framed = [&](int src_node, int tag, int fn_id, int t,
-                               int iter,
-                               const std::string& label) -> net::Payload {
+  /// The one receive: joins the clock to the arrival and returns the
+  /// payload (its body starts at frame_off). Under an active plan it
+  /// consumes deliveries in arrival order, counting drop tombstones
+  /// (loss-detection timeouts) and rejecting invalid frames until a
+  /// clean one lands. The frame checksum -- not the fabric's fault flag
+  /// -- is the integrity oracle, so corruption whose flips cancel is
+  /// rightly accepted.
+  const auto recv = [&](int src_node, int tag, int fn_id, int t, int iter,
+                        const std::string& label) -> net::Payload {
     for (;;) {
       const double t_before = node.now();
       net::Message msg = fabric.recv(rank, src_node, tag, recv_timeout);
       node.clock().join(msg.arrival_vt);
+      if (!faulty) return std::move(msg.payload);
       if (msg.fault == net::FaultKind::kDrop) {
         ++share.observed_timeouts;
         record_fault(fn_id, t, iter, t_before, 0, label + " [timeout]");
@@ -1293,7 +1275,7 @@ void Session::run_node_ticket_(net::NodeContext& node, StreamTicket& ticket) {
       bool valid = false;
       {
         support::ComputeScope scope(node.clock(), node.cpu_scale());
-        valid = frame_valid(msg.payload);
+        valid = net::frame_valid(msg.payload);
       }
       if (!valid) {
         ++share.observed_corruptions;
@@ -1309,39 +1291,46 @@ void Session::run_node_ticket_(net::NodeContext& node, StreamTicket& ticket) {
     }
   };
 
-  /// Returns a flow-control credit for a drained slot (1 payload byte;
-  /// framed under an active plan).
+  // Flow-control credit: one zero body byte, sealed under a plan. The
+  // content is constant, so one pooled block serves every credit send
+  // of the run; the fabric's copy-on-write keeps injected corruption
+  // off the shared block.
+  net::Payload credit;
   const auto send_credit = [&](int dst_node, int tag, int fn_id, int t,
                                int iter, const std::string& label) {
-    if (faulty) {
-      if (credit_frame.empty()) {
-        credit_frame = pool.acquire(kFrameHeaderBytes + 1);
-        const std::span<std::byte> frame = credit_frame.writable();
-        frame[kFrameHeaderBytes] = std::byte{0};
-        write_frame_header(
-            frame, 1,
-            fnv1a_accum(kFnvOffsetBasis, frame.data() + kFrameHeaderBytes, 1));
-      }
-      send_framed(dst_node, tag, credit_frame, 1, fn_id, t, iter, label);
-    } else {
-      if (credit_payload.empty()) {
-        credit_payload = pool.acquire(1);
-        credit_payload.writable()[0] = std::byte{0};
-      }
-      node.clock().join(
-          fabric.send(rank, dst_node, tag, credit_payload, node.now()));
+    if (credit.empty()) {
+      credit = pool.acquire(frame_off + 1);
+      const std::span<std::byte> frame = credit.writable();
+      frame[frame_off] = std::byte{0};
+      seal(frame, fnv1a_accum(kFnvOffsetBasis, frame.data() + frame_off, 1));
     }
+    send(dst_node, tag, credit, 1, fn_id, t, iter, label);
   };
 
-  /// Blocks until the consumer's credit for a free slot arrives.
-  const auto wait_credit = [&](int src_node, int tag, int fn_id, int t,
-                               int iter, const std::string& label) {
-    if (faulty) {
-      (void)recv_framed(src_node, tag, fn_id, t, iter, label);
-    } else {
-      const net::Message msg = fabric.recv(rank, src_node, tag, recv_timeout);
-      node.clock().join(msg.arrival_vt);
+  /// The one landing and fill: copies `op`'s bytes from `src` (located
+  /// by `from`) to `dst` (located by `to`). The unique policy stages
+  /// them through the op's logical buffer in the packed layout -- the
+  /// extra data access the paper's "unique logical buffers per
+  /// function" pays. `charged` puts the passes on the node's compute
+  /// clock; `hash` folds the body checksum into the last pass.
+  const auto transfer = [&](const TransferOp& op, SegOffset from,
+                            std::span<const std::byte> src, SegOffset to,
+                            std::span<std::byte> dst, bool charged,
+                            bool hash) {
+    std::optional<support::ComputeScope> scope;
+    if (charged) scope.emplace(node.clock(), node.cpu_scale());
+    std::uint64_t passes = 1;
+    if (unique) {
+      std::span<std::byte> logical =
+          state.logical[static_cast<std::size_t>(op.logical_slot)];
+      copy_segs(op.segs, from, &ByteSeg::packed_off, src, logical, false);
+      src = logical;
+      from = &ByteSeg::packed_off;
+      passes = 2;
     }
+    const std::uint64_t checksum = copy_segs(op.segs, from, to, src, dst, hash);
+    share.bytes_copied += passes * op.bytes;
+    return checksum;
   };
 
   for (int iter = 0; iter < iterations; ++iter) {
@@ -1359,12 +1348,8 @@ void Session::run_node_ticket_(net::NodeContext& node, StreamTicket& ticket) {
     if (state.hosts_source) {
       share.iter_start.push_back(node.now());
       if (trace) {
-        viz::Event e;
-        e.kind = viz::EventKind::kIterationStart;
-        e.iteration = iter;
-        e.start_vt = e.end_vt = node.now();
-        e.label = "iteration";
-        share.events.record(e);
+        record_event(viz::EventKind::kIterationStart, -1, 0, iter, node.now(),
+                     0, "iteration");
       }
     }
 
@@ -1381,43 +1366,17 @@ void Session::run_node_ticket_(net::NodeContext& node, StreamTicket& ticket) {
           const PlannedBuffer& buf =
               program.buffers[static_cast<std::size_t>(op.buf)];
           const double t_before = node.now();
-          net::Payload payload;
-          std::span<const std::byte> body;
-          if (faulty) {
-            payload = recv_framed(op.src_node, op.tag, fn_id, t, iter,
-                                  buf.label);
-            body = payload.bytes().subspan(kFrameHeaderBytes);
-          } else {
-            net::Message msg =
-                fabric.recv(rank, op.src_node, op.tag, recv_timeout);
-            node.clock().join(msg.arrival_vt);
-            payload = std::move(msg.payload);
-            body = payload.bytes();
-          }
+          net::Payload payload =
+              recv(op.src_node, op.tag, fn_id, t, iter, buf.label);
+          const std::span<const std::byte> body =
+              payload.bytes().subspan(frame_off);
           if (trace) {
             record_event(viz::EventKind::kReceive, fn_id, t, iter, t_before,
                          body.size(), buf.label);
           }
-          std::vector<std::byte>& dst_staging =
-              state.staging[static_cast<std::size_t>(op.dst_slot)];
-          {
-            support::ComputeScope scope(node.clock(), node.cpu_scale());
-            if (unique) {
-              // Stage through the function's own logical buffer copy.
-              std::vector<std::byte>& logical =
-                  state.logical[static_cast<std::size_t>(op.logical_slot)];
-              std::memcpy(logical.data(), body.data(), op.bytes);
-              unpack_bytes(op.segs, logical, dst_staging);
-            } else if (op.contiguous) {
-              // Zero-copy landing: the pooled payload scatters straight
-              // into the staging slice, one pass.
-              std::memcpy(dst_staging.data() + op.segs.front().dst_off,
-                          body.data(), op.bytes);
-            } else {
-              unpack_bytes(op.segs, body, dst_staging);
-            }
-          }
-          share.bytes_copied += unique ? 2 * op.bytes : op.bytes;
+          transfer(op, &ByteSeg::packed_off, body, &ByteSeg::dst_off,
+                   state.staging[static_cast<std::size_t>(op.dst_slot)],
+                   /*charged=*/true, /*hash=*/false);
           // Release the pooled block before the credit round-trip so the
           // producer's next payload can reuse it.
           payload.reset();
@@ -1478,12 +1437,8 @@ void Session::run_node_ticket_(net::NodeContext& node, StreamTicket& ticket) {
         if (fn.role == "sink") {
           share.iter_end.push_back(node.now());
           if (trace) {
-            viz::Event e;
-            e.kind = viz::EventKind::kIterationEnd;
-            e.iteration = iter;
-            e.start_vt = e.end_vt = node.now();
-            e.label = "iteration";
-            share.events.record(e);
+            record_event(viz::EventKind::kIterationEnd, -1, 0, iter,
+                         node.now(), 0, "iteration");
           }
         }
 
@@ -1499,21 +1454,10 @@ void Session::run_node_ticket_(net::NodeContext& node, StreamTicket& ticket) {
 
           if (op.dst_node == rank) {
             // Local delivery straight into the consumer's staging.
-            std::vector<std::byte>& dst_staging =
-                state.staging[static_cast<std::size_t>(op.dst_slot)];
             const double t_before = node.now();
-            {
-              support::ComputeScope scope(node.clock(), node.cpu_scale());
-              if (unique) {
-                std::vector<std::byte>& logical =
-                    state.logical[static_cast<std::size_t>(op.logical_slot)];
-                pack_bytes(op.segs, src_staging, logical);
-                unpack_bytes(op.segs, logical, dst_staging);
-              } else {
-                copy_bytes(op.segs, src_staging, dst_staging);
-              }
-            }
-            share.bytes_copied += unique ? 2 * op.bytes : op.bytes;
+            transfer(op, &ByteSeg::src_off, src_staging, &ByteSeg::dst_off,
+                     state.staging[static_cast<std::size_t>(op.dst_slot)],
+                     /*charged=*/true, /*hash=*/false);
             if (trace) {
               record_event(viz::EventKind::kBufferCopy, fn_id, t, iter,
                            t_before, op.bytes, buf.label);
@@ -1529,8 +1473,8 @@ void Session::run_node_ticket_(net::NodeContext& node, StreamTicket& ticket) {
             // ring: the consumer's credit for send (n - depth). The
             // counter is epoch-continuous, so a producer k tickets
             // ahead still respects the ring bound across data sets.
-            wait_credit(op.dst_node, op.tag, fn_id, t, iter,
-                        buf.label + " credit");
+            (void)recv(op.dst_node, op.tag, fn_id, t, iter,
+                       buf.label + " credit");
           }
           const double t_before = node.now();
           net::Payload payload;
@@ -1539,62 +1483,22 @@ void Session::run_node_ticket_(net::NodeContext& node, StreamTicket& ticket) {
             // the group leader packed -- send the handle, not a copy.
             payload = group_payload;
           } else {
-            const std::size_t frame_off = faulty ? kFrameHeaderBytes : 0;
             payload = pool.acquire(frame_off + op.bytes);
-            const std::span<std::byte> body =
-                payload.writable().subspan(frame_off);
-            if (faulty) {
-              std::uint64_t checksum = 0;
-              {
-                support::ComputeScope scope(node.clock(), node.cpu_scale());
-                if (unique) {
-                  std::vector<std::byte>& logical =
-                      state.logical[static_cast<std::size_t>(op.logical_slot)];
-                  pack_bytes(op.segs, src_staging, logical);
-                  std::memcpy(body.data(), logical.data(), op.bytes);
-                  checksum = fnv1a_accum(kFnvOffsetBasis, body.data(),
-                                         op.bytes);
-                } else {
-                  checksum = pack_bytes_hashed(op.segs, src_staging, body);
-                }
-              }
-              write_frame_header(payload.writable(), op.bytes, checksum);
-              share.bytes_copied += unique ? 2 * op.bytes : op.bytes;
-            } else if (unique) {
-              // The unique policy models an extra data access: stage
-              // through the logical buffer, then into the payload --
-              // both passes charged.
-              support::ComputeScope scope(node.clock(), node.cpu_scale());
-              std::vector<std::byte>& logical =
-                  state.logical[static_cast<std::size_t>(op.logical_slot)];
-              pack_bytes(op.segs, src_staging, logical);
-              std::memcpy(body.data(), logical.data(), op.bytes);
-              share.bytes_copied += 2 * op.bytes;
-            } else if (op.contiguous) {
-              // Zero-copy departure: borrow the staging slice into the
-              // payload with a single pass, modeled as a DMA gather
-              // (not charged to the node's compute clock).
-              std::memcpy(body.data(),
-                          src_staging.data() + op.segs.front().src_off,
-                          op.bytes);
-              share.bytes_copied += op.bytes;
-            } else {
-              support::ComputeScope scope(node.clock(), node.cpu_scale());
-              pack_bytes(op.segs, src_staging, body);
-              share.bytes_copied += op.bytes;
-            }
+            const std::span<std::byte> frame = payload.writable();
+            // A clean, shared, contiguous send borrows the staging
+            // slice into the payload in one pass, modeled as a DMA
+            // gather: not charged to the node's compute clock.
+            const bool charged = unique || faulty || !op.contiguous;
+            seal(frame, transfer(op, &ByteSeg::src_off, src_staging,
+                                 &ByteSeg::packed_off,
+                                 frame.subspan(frame_off), charged, faulty));
             if (!unique && op.share_group >= 0) {
               last_group = op.share_group;
               group_payload = payload;
             }
           }
-          if (faulty) {
-            send_framed(op.dst_node, op.tag, std::move(payload), op.bytes,
-                        fn_id, t, iter, buf.label);
-          } else {
-            node.clock().join(fabric.send(rank, op.dst_node, op.tag,
-                                          std::move(payload), node.now()));
-          }
+          send(op.dst_node, op.tag, std::move(payload), op.bytes, fn_id, t,
+               iter, buf.label);
           share.bytes_moved += op.bytes;
           ++state.sends_done[static_cast<std::size_t>(op_idx)];
           if (trace) {

@@ -224,49 +224,4 @@ std::string ascii_timeline(const Trace& trace, int columns) {
   return os.str();
 }
 
-std::string summary_report(const Trace& trace) {
-  std::ostringstream os;
-  os << "=== SAGE Visualizer summary ===\n";
-  const auto stats = function_stats(trace);
-  os << "functions:\n";
-  for (const FunctionStats& s : stats) {
-    os << "  [" << s.function_id << "] " << s.name << ": " << s.invocations
-       << " calls, total " << support::format_seconds(s.total_time)
-       << ", mean " << support::format_seconds(s.mean_time()) << ", max "
-       << support::format_seconds(s.max_time) << "\n";
-  }
-  if (const auto bn = bottleneck(trace)) {
-    os << "bottleneck: " << bn->name << "\n";
-  }
-  os << "utilization:\n";
-  for (const NodeUtilization& u : node_utilization(trace)) {
-    os << "  node " << u.node << ": " << static_cast<int>(u.utilization() * 100)
-       << "%\n";
-  }
-  const auto latencies = iteration_latencies(trace);
-  if (!latencies.empty()) {
-    double mean = 0.0;
-    for (const auto& lat : latencies) mean += lat.latency();
-    mean /= static_cast<double>(latencies.size());
-    os << "iterations: " << latencies.size() << ", mean latency "
-       << support::format_seconds(mean) << ", period "
-       << support::format_seconds(mean_period(trace)) << "\n";
-  }
-  os << "fabric bytes: " << support::format_bytes(total_transfer_bytes(trace))
-     << "\n";
-  const auto transfers = transfer_stats(trace);
-  if (!transfers.empty()) {
-    os << "buffers:\n";
-    for (const TransferStats& t : transfers) {
-      os << "  " << t.label << ": " << t.fabric_messages << " msgs ("
-         << support::format_bytes(t.fabric_bytes) << " fabric), "
-         << t.local_copies << " copies ("
-         << support::format_bytes(t.local_bytes) << " local), "
-         << support::format_seconds(t.total_time) << "\n";
-    }
-  }
-  os << ascii_timeline(trace);
-  return os.str();
-}
-
 }  // namespace sage::viz

@@ -91,7 +91,4 @@ std::vector<TransferStats> transfer_stats(const Trace& trace);
 /// '#' busy / '.' idle -- the terminal stand-in for the Visualizer GUI.
 std::string ascii_timeline(const Trace& trace, int columns = 72);
 
-/// Human-readable report combining the analyses above.
-std::string summary_report(const Trace& trace);
-
 }  // namespace sage::viz

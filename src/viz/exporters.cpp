@@ -207,6 +207,21 @@ std::string report(const Trace& trace, const MetricsSnapshot& metrics,
     os << "iterations: none traced\n";
   }
 
+  // --- per-buffer traffic (from the trace) ----------------------------------
+  const auto transfers = transfer_stats(trace);
+  if (!transfers.empty()) {
+    os << "fabric bytes: "
+       << support::format_bytes(total_transfer_bytes(trace)) << "\n";
+    os << "buffers:\n";
+    for (const TransferStats& t : transfers) {
+      os << "  " << t.label << ": " << t.fabric_messages << " msgs ("
+         << support::format_bytes(t.fabric_bytes) << " fabric), "
+         << t.local_copies << " copies ("
+         << support::format_bytes(t.local_bytes) << " local), "
+         << support::format_seconds(t.total_time) << "\n";
+    }
+  }
+
   // --- fabric hot links (from the metrics registry) -------------------------
   std::vector<const MetricValue*> links;
   for (const MetricValue& v : metrics.series) {

@@ -39,8 +39,8 @@ struct ReportOptions {
 };
 
 /// Human-readable observability report over one run: bottleneck, node
-/// utilization, iteration latencies and threshold violations, fabric
-/// hot links, and the fault/recovery summary. Degenerate traces (no
+/// utilization, iteration latencies and threshold violations, per-buffer
+/// traffic, fabric hot links, and the fault/recovery summary. Degenerate traces (no
 /// function events, no iterations) degrade to explanatory lines instead
 /// of crashing.
 std::string report(const Trace& trace, const MetricsSnapshot& metrics,

@@ -79,6 +79,19 @@ TEST(FaultPlanTest, SerializeRoundTrips) {
   EXPECT_EQ(again.serialize(), plan.serialize());
   EXPECT_EQ(again.link_rules.size(), plan.link_rules.size());
   EXPECT_EQ(again.dead_nodes, plan.dead_nodes);
+
+  // Seeds use all 64 bits, and doubles survive at full precision.
+  const FaultPlan exact = FaultPlan::parse(
+      "fault-plan 1\n"
+      "seed 18446744073709551615\n"
+      "detect-timeout 1.2345678901e-4\n"
+      "delay link=* p=0.1000000000000001 vt=3.0000000000000004e-3\n");
+  const FaultPlan exact_again = FaultPlan::parse(exact.serialize());
+  EXPECT_EQ(exact_again.seed, 18446744073709551615ull);
+  EXPECT_EQ(exact_again.detect_timeout_vt, 1.2345678901e-4);
+  ASSERT_EQ(exact_again.link_rules.size(), 1u);
+  EXPECT_EQ(exact_again.link_rules[0].probability, 0.1000000000000001);
+  EXPECT_EQ(exact_again.link_rules[0].delay_vt, 3.0000000000000004e-3);
 }
 
 TEST(FaultPlanTest, ParseRejectsMalformedInput) {
@@ -96,6 +109,37 @@ TEST(FaultPlanTest, ParseRejectsMalformedInput) {
                ConfigError);
   EXPECT_THROW(FaultPlan::parse("fault-plan 1\ndrop link=01 p=0.5\n"),
                ConfigError);  // bad link spec
+
+  // Every number must fit its field: no wraparound, no truncation, and
+  // a typed error naming the line. (None of these plans is executed: a
+  // huge corruption count would spin the fabric's flip loop.)
+  const char* const unfit[] = {
+      "seed x",                              // not a number
+      "seed -1",                             // seeds are unsigned
+      "max-attempts 0",                      // bounds [1, 64]
+      "max-attempts 65",
+      "max-attempts 4294967297",             // would truncate to 1
+      "detect-timeout inf",                  // doubles are finite
+      "corrupt link=* p=1 bytes=-1",         // would wrap to 2^64-1
+      "corrupt link=* p=1 bytes=0",          // bounds [1, 65536]
+      "corrupt link=* p=1 bytes=65537",
+      "drop link=* p=nan",
+      "drop link=* at=-2",
+      "drop link=4294967296->0 p=0.5",       // would truncate to rank 0
+      "drop link=0->x p=0.5",
+      "stall node=-1 iter=0 vt=0.1",         // '*' is the wildcard
+      "stall node=0 iter=2147483648 vt=0.1",
+      "dead node=4294967296",                // would kill node 0
+  };
+  for (const char* line : unfit) {
+    try {
+      FaultPlan::parse(std::string("fault-plan 1\n") + line + "\n");
+      ADD_FAILURE() << "accepted: " << line;
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+          << line << ": " << e.what();
+    }
+  }
 }
 
 TEST(FaultPlanTest, InactivePlanReportsInactive) {

@@ -9,13 +9,18 @@
 
 #include <cstdint>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "apps/benchmarks.hpp"
 #include "core/project.hpp"
+#include "net/fault.hpp"
+#include "runtime/glue_config.hpp"
+#include "runtime/registry.hpp"
 #include "runtime/session.hpp"
 #include "support/error.hpp"
+#include "viz/trace.hpp"
 
 namespace sage::runtime {
 namespace {
@@ -309,6 +314,288 @@ TEST(SessionTest, ClosedSessionRefusesEveryEntryPoint) {
   expect_closed("swap_program", [&] { session->swap_program(program); });
   expect_closed("fabric", [&] { (void)session->fabric(); });
 }
+
+// --- data-plane pins --------------------------------------------------------
+// One case per fork of the transfer loop: buffer policy x fault plan x
+// entry point (one synchronous run(), or three tickets streamed at
+// depth 2), on three designs -- the corner turn (multi-segment ops and
+// local deliveries), the 2D FFT, and a striped -> replicated fan-out
+// (share groups). Each case pins the wire traffic, the host copies, the
+// fault counters and the trace-event mix its runs produced, so any
+// rewrite of the transfer loop must reproduce every one of them.
+
+/// A float source whose element value equals its global index.
+void index_source(KernelContext& ctx) {
+  PortSlice& out = ctx.out("out");
+  auto data = out.as<float>();
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<float>(out.global_of_local(i));
+  }
+}
+
+/// Sink reporting the sum of its slice.
+void sum_sink(KernelContext& ctx) {
+  double acc = 0.0;
+  for (const float v : ctx.in("in").as<float>()) acc += v;
+  ctx.set_result(acc);
+}
+
+PortConfig pin_port(const char* name, model::PortDirection direction,
+                    model::Striping striping) {
+  PortConfig port;
+  port.name = name;
+  port.direction = direction;
+  port.striping = striping;
+  port.elem_bytes = sizeof(float);
+  port.dims = {16, 8};
+  return port;
+}
+
+/// Row-striped source -> replicated sink, four threads on four nodes:
+/// every producer thread fans its stripe out to all four sink threads.
+GlueConfig fanout_config() {
+  GlueConfig config;
+  config.application = "fanout";
+  config.hardware = "test-hw";
+  config.nodes = 4;
+  config.iterations_default = 1;
+  const auto add_function = [&](const char* name, const char* kernel,
+                                const char* role, PortConfig port) {
+    FunctionConfig fn;
+    fn.id = static_cast<int>(config.functions.size());
+    fn.name = name;
+    fn.kernel = kernel;
+    fn.role = role;
+    fn.threads = 4;
+    fn.thread_nodes = {0, 1, 2, 3};
+    fn.ports.push_back(std::move(port));
+    config.functions.push_back(std::move(fn));
+  };
+  add_function("src", "test.index_source", "source",
+               pin_port("out", model::PortDirection::kOut,
+                        model::Striping::kStriped));
+  add_function("sink", "test.sum_sink", "sink",
+               pin_port("in", model::PortDirection::kIn,
+                        model::Striping::kReplicated));
+  BufferConfig buf;
+  buf.id = 0;
+  buf.src_function = 0;
+  buf.src_port = "out";
+  buf.dst_function = 1;
+  buf.dst_port = "in";
+  config.buffers.push_back(buf);
+  for (int r = 0; r < config.nodes; ++r) config.schedule[r] = {0, 1};
+  return config;
+}
+
+/// Drops, corruption, delays and a stall: every fault-mode branch fires.
+std::shared_ptr<const net::FaultPlan> pin_chaos_plan() {
+  return std::make_shared<const net::FaultPlan>(net::FaultPlan::parse(
+      "fault-plan 1\n"
+      "seed 49374\n"
+      "drop link=* p=0.1\n"
+      "corrupt link=* p=0.1 bytes=4\n"
+      "delay link=* p=0.1 vt=1e-4\n"
+      "stall node=1 iter=0 vt=1e-3\n"));
+}
+
+struct PinCase {
+  std::string design;  // "cornerturn", "fft2d" or "fanout" (64x4, 16x8)
+  BufferPolicy policy = BufferPolicy::kUniquePerFunction;
+  bool faulty = false;
+  bool streamed = false;
+  std::string expected;  // pin_of() at the recorded commit
+};
+
+std::string pin_case_name(const ::testing::TestParamInfo<PinCase>& info) {
+  const PinCase& c = info.param;
+  return c.design +
+         (c.policy == BufferPolicy::kShared ? "_shared" : "_unique") +
+         (c.faulty ? "_chaos" : "_clean") +
+         (c.streamed ? "_streamed" : "_run");
+}
+
+/// Runs `design` once (run()) or as three tickets streamed at depth 2.
+std::vector<RunStats> run_design(const std::string& design,
+                                 const ExecuteOptions& options,
+                                 bool streamed) {
+  const auto drive = [&](Session& session) {
+    if (!streamed) return std::vector<RunStats>{session.run()};
+    RunOverrides request;
+    request.buffer_depth = 2;
+    for (int i = 0; i < 3; ++i) session.submit(request);
+    return session.drain();
+  };
+  if (design == "fanout") {
+    FunctionRegistry registry = standard_registry();
+    registry.add("test.index_source", index_source);
+    registry.add("test.sum_sink", sum_sink);
+    Session session(fanout_config(), registry, options);
+    return drive(session);
+  }
+  core::Project project(design == "fft2d"
+                            ? apps::make_fft2d_workspace(64, 4)
+                            : apps::make_cornerturn_workspace(64, 4));
+  return drive(*project.open_session(options));
+}
+
+/// The deterministic data-plane facts of one entry point's tickets.
+/// Fabric and injected-fault counters are epoch-cumulative, so the last
+/// ticket's are the epoch's totals; the rest are summed per ticket.
+/// `events` counts trace events by viz::EventKind, in enum order.
+std::string pin_of(const std::vector<RunStats>& tickets) {
+  const RunStats& last = tickets.back();
+  std::uint64_t copied = 0;
+  std::uint64_t moved = 0;
+  std::uint64_t timeouts = 0;
+  std::uint64_t detected = 0;
+  std::uint64_t stalls = 0;
+  std::vector<std::size_t> kinds(
+      static_cast<std::size_t>(viz::EventKind::kRecovery) + 1, 0);
+  for (const RunStats& stats : tickets) {
+    copied += stats.data_plane.bytes_copied;
+    moved += stats.data_plane.bytes_moved;
+    timeouts += stats.faults.timeouts;
+    detected += stats.faults.corruptions_detected;
+    stalls += stats.faults.stalls;
+    for (const viz::Event& e : stats.trace.events()) {
+      ++kinds[static_cast<std::size_t>(e.kind)];
+    }
+  }
+  std::ostringstream os;
+  os << "messages=" << last.fabric_messages << " bytes=" << last.fabric_bytes
+     << " copied=" << copied << " moved=" << moved
+     << " injected=" << last.faults.injected_drops << "/"
+     << last.faults.injected_corruptions << "/"
+     << last.faults.injected_delays << " retries=" << last.faults.retries
+     << " observed=" << timeouts << "/" << detected << "/" << stalls
+     << " degraded=" << last.faults.degraded_nodes << " events=";
+  for (std::size_t k = 0; k < kinds.size(); ++k) {
+    os << (k > 0 ? "/" : "") << kinds[k];
+  }
+  return os.str();
+}
+
+class DataPlanePinTest : public ::testing::TestWithParam<PinCase> {};
+
+TEST_P(DataPlanePinTest, TrafficCopiesAndTraceMatchTheRecordedPin) {
+  const PinCase& param = GetParam();
+  ExecuteOptions options;
+  options.iterations = 2;
+  const std::vector<RunStats> reference =
+      run_design(param.design, options, /*streamed=*/false);
+
+  options.buffer_policy = param.policy;
+  if (param.faulty) options.fault_plan = pin_chaos_plan();
+  const std::vector<RunStats> tickets =
+      run_design(param.design, options, param.streamed);
+  ASSERT_EQ(tickets.size(), param.streamed ? 3u : 1u);
+  for (const RunStats& stats : tickets) {
+    EXPECT_EQ(stats.results, reference.front().results);
+  }
+  EXPECT_EQ(pin_of(tickets), param.expected);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PolicyPlanEntry, DataPlanePinTest,
+    ::testing::Values(
+        PinCase{"cornerturn", BufferPolicy::kUniquePerFunction, false, false,
+                "messages=24 bytes=49152 copied=360448 moved=49152 "
+                "injected=0/0/0 retries=0 observed=0/0/0 degraded=0 "
+                "events=24/24/24/24/16/8/8/0/0/0/0"},
+        PinCase{"cornerturn", BufferPolicy::kUniquePerFunction, false, true,
+                "messages=144 bytes=147528 copied=1081344 moved=147456 "
+                "injected=0/0/0 retries=0 observed=0/0/0 degraded=0 "
+                "events=72/72/72/72/48/24/24/0/0/0/0"},
+        PinCase{"cornerturn", BufferPolicy::kUniquePerFunction, true, false,
+                "messages=31 bytes=63984 copied=360448 moved=49152 "
+                "injected=3/4/1 retries=7 observed=3/4/1 degraded=0 "
+                "events=24/24/24/24/16/8/8/0/9/7/0"},
+        PinCase{"cornerturn", BufferPolicy::kUniquePerFunction, true, true,
+                "messages=178 bytes=172927 copied=1081344 moved=147456 "
+                "injected=21/13/10 retries=34 observed=15/10/3 degraded=0 "
+                "events=72/72/72/72/48/24/24/0/37/34/0"},
+        PinCase{"cornerturn", BufferPolicy::kShared, false, false,
+                "messages=24 bytes=49152 copied=180224 moved=49152 "
+                "injected=0/0/0 retries=0 observed=0/0/0 degraded=0 "
+                "events=24/24/24/24/16/8/8/0/0/0/0"},
+        PinCase{"cornerturn", BufferPolicy::kShared, false, true,
+                "messages=144 bytes=147528 copied=540672 moved=147456 "
+                "injected=0/0/0 retries=0 observed=0/0/0 degraded=0 "
+                "events=72/72/72/72/48/24/24/0/0/0/0"},
+        PinCase{"cornerturn", BufferPolicy::kShared, true, false,
+                "messages=31 bytes=63984 copied=180224 moved=49152 "
+                "injected=3/4/1 retries=7 observed=3/4/1 degraded=0 "
+                "events=24/24/24/24/16/8/8/0/9/7/0"},
+        PinCase{"cornerturn", BufferPolicy::kShared, true, true,
+                "messages=178 bytes=172927 copied=540672 moved=147456 "
+                "injected=21/13/10 retries=34 observed=15/10/3 degraded=0 "
+                "events=72/72/72/72/48/24/24/0/37/34/0"},
+        PinCase{"fft2d", BufferPolicy::kUniquePerFunction, false, false,
+                "messages=24 bytes=49152 copied=622592 moved=49152 "
+                "injected=0/0/0 retries=0 observed=0/0/0 degraded=0 "
+                "events=40/40/24/24/32/8/8/0/0/0/0"},
+        PinCase{"fft2d", BufferPolicy::kUniquePerFunction, false, true,
+                "messages=144 bytes=147528 copied=1867776 moved=147456 "
+                "injected=0/0/0 retries=0 observed=0/0/0 degraded=0 "
+                "events=120/120/72/72/96/24/24/0/0/0/0"},
+        PinCase{"fft2d", BufferPolicy::kUniquePerFunction, true, false,
+                "messages=31 bytes=63984 copied=622592 moved=49152 "
+                "injected=3/4/1 retries=7 observed=3/4/1 degraded=0 "
+                "events=40/40/24/24/32/8/8/0/9/7/0"},
+        PinCase{"fft2d", BufferPolicy::kUniquePerFunction, true, true,
+                "messages=178 bytes=172927 copied=1867776 moved=147456 "
+                "injected=21/13/10 retries=34 observed=15/10/3 degraded=0 "
+                "events=120/120/72/72/96/24/24/0/37/34/0"},
+        PinCase{"fft2d", BufferPolicy::kShared, false, false,
+                "messages=24 bytes=49152 copied=311296 moved=49152 "
+                "injected=0/0/0 retries=0 observed=0/0/0 degraded=0 "
+                "events=40/40/24/24/32/8/8/0/0/0/0"},
+        PinCase{"fft2d", BufferPolicy::kShared, false, true,
+                "messages=144 bytes=147528 copied=933888 moved=147456 "
+                "injected=0/0/0 retries=0 observed=0/0/0 degraded=0 "
+                "events=120/120/72/72/96/24/24/0/0/0/0"},
+        PinCase{"fft2d", BufferPolicy::kShared, true, false,
+                "messages=31 bytes=63984 copied=311296 moved=49152 "
+                "injected=3/4/1 retries=7 observed=3/4/1 degraded=0 "
+                "events=40/40/24/24/32/8/8/0/9/7/0"},
+        PinCase{"fft2d", BufferPolicy::kShared, true, true,
+                "messages=178 bytes=172927 copied=933888 moved=147456 "
+                "injected=21/13/10 retries=34 observed=15/10/3 degraded=0 "
+                "events=120/120/72/72/96/24/24/0/37/34/0"},
+        PinCase{"fanout", BufferPolicy::kUniquePerFunction, false, false,
+                "messages=24 bytes=3072 copied=14336 moved=3072 "
+                "injected=0/0/0 retries=0 observed=0/0/0 degraded=0 "
+                "events=16/16/24/24/8/8/8/0/0/0/0"},
+        PinCase{"fanout", BufferPolicy::kUniquePerFunction, false, true,
+                "messages=144 bytes=9288 copied=43008 moved=9216 "
+                "injected=0/0/0 retries=0 observed=0/0/0 degraded=0 "
+                "events=48/48/72/72/24/24/24/0/0/0/0"},
+        PinCase{"fanout", BufferPolicy::kUniquePerFunction, true, false,
+                "messages=31 bytes=4464 copied=14336 moved=3072 "
+                "injected=3/4/1 retries=7 observed=3/4/1 degraded=0 "
+                "events=16/16/24/24/8/8/8/0/9/7/0"},
+        PinCase{"fanout", BufferPolicy::kUniquePerFunction, true, true,
+                "messages=178 bytes=13567 copied=43008 moved=9216 "
+                "injected=21/13/10 retries=34 observed=15/10/3 degraded=0 "
+                "events=48/48/72/72/24/24/24/0/37/34/0"},
+        PinCase{"fanout", BufferPolicy::kShared, false, false,
+                "messages=24 bytes=3072 copied=5120 moved=3072 "
+                "injected=0/0/0 retries=0 observed=0/0/0 degraded=0 "
+                "events=16/16/24/24/8/8/8/0/0/0/0"},
+        PinCase{"fanout", BufferPolicy::kShared, false, true,
+                "messages=144 bytes=9288 copied=15360 moved=9216 "
+                "injected=0/0/0 retries=0 observed=0/0/0 degraded=0 "
+                "events=48/48/72/72/24/24/24/0/0/0/0"},
+        PinCase{"fanout", BufferPolicy::kShared, true, false,
+                "messages=31 bytes=4464 copied=5120 moved=3072 "
+                "injected=3/4/1 retries=7 observed=3/4/1 degraded=0 "
+                "events=16/16/24/24/8/8/8/0/9/7/0"},
+        PinCase{"fanout", BufferPolicy::kShared, true, true,
+                "messages=178 bytes=13567 copied=15360 moved=9216 "
+                "injected=21/13/10 retries=34 observed=15/10/3 degraded=0 "
+                "events=48/48/72/72/24/24/24/0/37/34/0"}),
+    pin_case_name);
 
 }  // namespace
 }  // namespace sage::runtime

@@ -9,6 +9,7 @@
 
 #include "support/error.hpp"
 #include "viz/analysis.hpp"
+#include "viz/exporters.hpp"
 #include "viz/trace.hpp"
 
 namespace sage::viz {
@@ -136,7 +137,7 @@ TEST(AnalysisTest, DegenerateTracesDoNotThrow) {
   EXPECT_EQ(mean_period(empty), 0.0);
   EXPECT_EQ(total_transfer_bytes(empty), 0u);
   EXPECT_TRUE(transfer_stats(empty).empty());
-  EXPECT_FALSE(summary_report(empty).empty());
+  EXPECT_FALSE(report(empty, {}).empty());
 
   // A start without a matching end (truncated trace) must not blow up.
   EventBuffer node0(0);
@@ -149,7 +150,7 @@ TEST(AnalysisTest, DegenerateTracesDoNotThrow) {
   const auto latencies = iteration_latencies(truncated);
   ASSERT_EQ(latencies.size(), 1u);
   EXPECT_EQ(latencies[0].latency(), 0.0);
-  EXPECT_NO_THROW(summary_report(truncated));
+  EXPECT_NO_THROW(report(truncated, {}));
 }
 
 TEST(AnalysisTest, UtilizationPerNode) {
@@ -343,12 +344,13 @@ TEST(ExportTest, AsciiTimelineShowsBusyCells) {
   EXPECT_EQ(ascii_timeline(Trace{}), "(empty trace)\n");
 }
 
-TEST(ExportTest, SummaryReportMentionsEverything) {
-  const std::string report = summary_report(sample_trace());
-  EXPECT_NE(report.find("bottleneck: b"), std::string::npos);
-  EXPECT_NE(report.find("utilization"), std::string::npos);
-  EXPECT_NE(report.find("iterations: 2"), std::string::npos);
-  EXPECT_NE(report.find("fabric bytes: 2.0 KiB"), std::string::npos);
+TEST(ExportTest, ReportMentionsEverything) {
+  const std::string text = report(sample_trace(), {});
+  EXPECT_NE(text.find("bottleneck: b"), std::string::npos);
+  EXPECT_NE(text.find("utilization"), std::string::npos);
+  EXPECT_NE(text.find("iterations: 2"), std::string::npos);
+  EXPECT_NE(text.find("fabric bytes: 2.0 KiB"), std::string::npos);
+  EXPECT_NE(text.find("buffers:\n  a->b: 2 msgs"), std::string::npos);
 }
 
 }  // namespace

@@ -85,7 +85,6 @@
 #include "serve/loadgen.hpp"
 #include "serve/server.hpp"
 #include "support/error.hpp"
-#include "viz/analysis.hpp"
 #include "viz/exporters.hpp"
 
 namespace {
@@ -524,7 +523,7 @@ int cmd_run(const Args& args) {
     }
     std::printf("\n");
   }
-  std::printf("%s", viz::summary_report(stats.trace).c_str());
+  std::printf("%s", viz::report(stats.trace, stats.metrics).c_str());
 
   const std::string trace_path = args.flag_or("trace", "");
   if (!trace_path.empty()) {
@@ -671,18 +670,10 @@ int cmd_tune(const Args& args) {
 int cmd_analyze(const Args& args) {
   if (args.positional.empty()) usage();
   const viz::Trace trace = viz::Trace::from_csv(read_file(args.positional[0]));
-  std::printf("%s", viz::summary_report(trace).c_str());
-  const double threshold =
+  viz::ReportOptions report_options;
+  report_options.latency_threshold =
       flag_double(args, "latency-bound", "0", 0.0, 1e9) * 1e-3;  // ms -> s
-  if (threshold > 0) {
-    const auto violations = viz::latency_violations(trace, threshold);
-    std::printf("\nlatency violations over %.3f ms: %zu\n", threshold * 1e3,
-                violations.size());
-    for (const auto& v : violations) {
-      std::printf("  iteration %d: %.3f ms\n", v.iteration,
-                  v.latency() * 1e3);
-    }
-  }
+  std::printf("%s", viz::report(trace, {}, report_options).c_str());
   return 0;
 }
 
