@@ -5,7 +5,8 @@
 #
 #   asan  -- AddressSanitizer + LeakSanitizer: the memory-heavy suites
 #            (buffer-pool reuse across warm runs, striping copies, the
-#            fault-injection frame path, program blob round-trips). The
+#            fault-injection frame path, program blob round-trips, the
+#            per-node memory planner's arena layouts). The
 #            LSan suppressions cover a pre-existing bounded leak: the
 #            Alter interpreter's environment<->closure shared_ptr cycle.
 #            All three flavors also run the Alter bytecode pipeline
@@ -47,25 +48,26 @@ case "$flavor" in
     cmake_flag=-DSAGE_ASAN=ON
     targets="net_test session_test streaming_test striping_test fault_test \
       integration_pipeline_test viz_test metrics_test program_test \
-      random_graph_test serve_test transport_test tuner_test \
-      alter_test alter_script_test codegen_test codegen_golden_test \
-      isspl_test"
-    filter='(Fabric|Session|DataPlane|Streaming|Striping|Redistribution|Fault|Degraded|Pipeline|Metrics|Trace|Analysis|Export|Program|PlanCache|RandomChain|Diamond|Serve|Transport|Shmem|Tuner|Alter|Reader|Eval|Builtin|Emit|Vm|Codegen|Fft|Transpose)'
+      random_graph_test memory_plan_test serve_test transport_test \
+      tuner_test alter_test alter_script_test codegen_test \
+      codegen_golden_test isspl_test"
+    filter='(Fabric|Session|DataPlane|Streaming|Striping|Redistribution|Fault|Degraded|Pipeline|Metrics|Trace|Analysis|Export|Program|PlanCache|MemoryPlan|RandomChain|Diamond|Serve|Transport|Shmem|Tuner|Alter|Reader|Eval|Builtin|Emit|Vm|Codegen|Fft|Transpose)'
     ;;
   tsan)
     cmake_flag=-DSAGE_TSAN=ON
     targets="net_test mpi_test executor_test session_test streaming_test \
       fault_test viz_test metrics_test program_test random_graph_test \
-      serve_test transport_test tuner_test \
+      memory_plan_test serve_test transport_test tuner_test \
       alter_test alter_script_test codegen_test codegen_golden_test"
-    filter='(Machine|Fabric|Mpi|Executor|Session|DataPlane|Streaming|Redistribution|WarmCold|Fault|Degraded|Metrics|Trace|Analysis|Export|Program|PlanCache|RandomChain|Diamond|Serve|Transport|Shmem|Tuner|Alter|Reader|Eval|Builtin|Emit|Vm|Codegen)'
+    filter='(Machine|Fabric|Mpi|Executor|Session|DataPlane|Streaming|Redistribution|WarmCold|Fault|Degraded|Metrics|Trace|Analysis|Export|Program|PlanCache|MemoryPlan|RandomChain|Diamond|Serve|Transport|Shmem|Tuner|Alter|Reader|Eval|Builtin|Emit|Vm|Codegen)'
     ;;
   ubsan)
     cmake_flag=-DSAGE_UBSAN=ON
     targets="net_test session_test streaming_test striping_test fault_test \
       integration_pipeline_test isspl_test registry_test metrics_test \
-      program_test random_graph_test serve_test transport_test tuner_test \
-      alter_test alter_script_test codegen_test codegen_golden_test"
+      program_test random_graph_test memory_plan_test serve_test \
+      transport_test tuner_test alter_test alter_script_test codegen_test \
+      codegen_golden_test"
     filter='(Fabric|Session|DataPlane|Streaming|Striping|Redistribution|Fault|Degraded|Pipeline|Fft|Transpose|Kernel|Plan|Metrics|Program|PlanCache|RandomChain|Diamond|Serve|Transport|Shmem|Tuner|Alter|Reader|Eval|Builtin|Emit|Vm|Codegen)'
     ;;
   *)

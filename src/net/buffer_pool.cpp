@@ -10,9 +10,11 @@ namespace sage::net {
 
 /// One pooled block: bucket-sized storage plus an intrusive refcount,
 /// so recycling a payload recycles the whole allocation -- no
-/// control-block churn on the hot path.
+/// control-block churn on the hot path. The storage is allocated for
+/// overwrite (every acquirer fills its bytes before anything reads
+/// them), so a prewarmed block costs no page until it is first used.
 struct PoolBlock {
-  std::vector<std::byte> storage;  // sized to the bucket, never shrunk
+  std::unique_ptr<std::byte[]> storage;  // bucket-sized, never shrunk
   std::atomic<std::uint32_t> refs{0};
   BufferPool* pool = nullptr;
   std::uint32_t bucket = 0;
@@ -52,11 +54,11 @@ Payload& Payload::operator=(Payload&& other) noexcept {
 Payload::~Payload() { reset(); }
 
 const std::byte* Payload::data() const {
-  return block_ != nullptr ? block_->storage.data() : nullptr;
+  return block_ != nullptr ? block_->storage.get() : nullptr;
 }
 
 std::span<std::byte> Payload::writable() {
-  return block_ != nullptr ? std::span<std::byte>{block_->storage.data(), size_}
+  return block_ != nullptr ? std::span<std::byte>{block_->storage.get(), size_}
                            : std::span<std::byte>{};
 }
 
@@ -86,8 +88,9 @@ PoolBlock* BufferPool::allocate_block_(std::uint32_t bucket) {
   auto owned = std::make_unique<PoolBlock>();
   owned->pool = this;
   owned->bucket = bucket;
-  owned->storage.resize(kMinBlockBytes << bucket);
-  bytes_reserved_ += owned->storage.size();
+  const std::size_t bytes = kMinBlockBytes << bucket;
+  owned->storage = std::make_unique_for_overwrite<std::byte[]>(bytes);
+  bytes_reserved_ += bytes;
   PoolBlock* block = owned.get();
   blocks_.push_back(std::move(owned));
   return block;

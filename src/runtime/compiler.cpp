@@ -159,7 +159,6 @@ void lower_into(CompiledProgram& program) {
       op.dst_slot = program.slot_base[static_cast<std::size_t>(dst_fn.id)] +
                     pair.dst_thread * static_cast<int>(dst_fn.ports.size()) +
                     dst_port_idx;
-      op.logical_slot = static_cast<int>(program.ops.size());
 
       if (pair.src_thread != chain_thread) {
         chain = -1;
@@ -197,7 +196,6 @@ void lower_into(CompiledProgram& program) {
       program.ops.push_back(std::move(op));
     }
   }
-  program.total_logical_slots = static_cast<int>(program.ops.size());
 
   // Static streaming buffer bound per channel (cf. the SDF-AP buffer
   // sizing results): a producer k topological levels upstream of its

@@ -226,14 +226,12 @@ std::string CompiledProgram::serialize() const {
     body.pods(op.segs);
     body.i32(op.src_slot);
     body.i32(op.dst_slot);
-    body.i32(op.logical_slot);
     body.i32(op.share_group);
     body.i32(op.ring_depth);
   }
 
   body.ints(slot_base);
   body.i32(total_staging_slots);
-  body.i32(total_logical_slots);
   body.ints(fn_thread_base);
   body.int_lists(recv_ops_of);
   body.int_lists(send_ops_of);
@@ -329,7 +327,6 @@ std::shared_ptr<const CompiledProgram> CompiledProgram::deserialize(
     op.segs = r.pods<ByteSeg>();
     op.src_slot = r.i32();
     op.dst_slot = r.i32();
-    op.logical_slot = r.i32();
     op.share_group = r.i32();
     op.ring_depth = r.i32();
     program->ops.push_back(std::move(op));
@@ -337,7 +334,6 @@ std::shared_ptr<const CompiledProgram> CompiledProgram::deserialize(
 
   program->slot_base = r.ints();
   program->total_staging_slots = r.i32();
-  program->total_logical_slots = r.i32();
   program->fn_thread_base = r.ints();
   program->recv_ops_of = r.int_lists();
   program->send_ops_of = r.int_lists();

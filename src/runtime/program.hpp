@@ -79,8 +79,6 @@ struct TransferOp {
   std::vector<ByteSeg> segs;
   int src_slot = -1;  // staging slot on the producer node
   int dst_slot = -1;  // staging slot on the consumer node
-  /// Per-op logical-buffer storage (kUniquePerFunction staging copy).
-  int logical_slot = -1;
   /// Fan-out share group: remote ops of one producer thread whose packed
   /// bytes are identical (same gather signature) share one pooled
   /// payload under kShared -- the fabric's copy-on-write protects the
@@ -139,7 +137,6 @@ struct CompiledProgram {
   /// staging map).
   std::vector<int> slot_base;
   int total_staging_slots = 0;
-  int total_logical_slots = 0;
   /// (function, thread) -> flat index: fn_thread_base[fn] + thread.
   std::vector<int> fn_thread_base;
   /// Per (function, thread): indices into `ops` for the remote receives
@@ -183,6 +180,6 @@ struct CompiledProgram {
 /// Plan blob format version; bump on any layout change so stale cache
 /// entries are rejected (and re-keyed: the version is folded into the
 /// fingerprint).
-inline constexpr std::uint32_t kPlanFormatVersion = 2;
+inline constexpr std::uint32_t kPlanFormatVersion = 3;
 
 }  // namespace sage::runtime

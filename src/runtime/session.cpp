@@ -12,6 +12,7 @@
 #include <tuple>
 
 #include "runtime/compiler.hpp"
+#include "runtime/memory_plan.hpp"
 #include "support/error.hpp"
 
 namespace sage::runtime {
@@ -31,15 +32,23 @@ support::VirtualSeconds RunStats::mean_latency() const {
   return total / static_cast<double>(latencies.size());
 }
 
-/// Node-local state, allocated once at session construction and reused
-/// (reset, not reallocated) across runs. During an epoch a node's state
-/// is touched only by that node's worker thread; the host touches it
-/// only between epochs (machine join/dispatch order the accesses).
+/// Node-local state, allocated once per program (construction,
+/// recover(), swap_program()) and reused across runs. During an epoch a
+/// node's state is touched only by that node's worker thread; the host
+/// touches it only between epochs (machine join/dispatch order the
+/// accesses).
 struct Session::NodeState {
-  // Staging storage by compiled slot id (dense; non-local slots empty).
-  std::vector<std::vector<std::byte>> staging;
-  // Logical-buffer storage by op index (kUniquePerFunction policy only).
-  std::vector<std::vector<std::byte>> logical;
+  // The node's staging arena, laid out by plan_node_memory() and
+  // allocated for overwrite: no page is touched until a ticket zeroes
+  // the private prefix [0, zero_bytes) or a transfer writes a slot.
+  std::unique_ptr<std::byte[]> arena;
+  std::size_t zero_bytes = 0;
+  // Staging views into the arena by compiled slot id (dense; non-local
+  // slots empty).
+  std::vector<std::span<std::byte>> staging;
+  // The unique policy's logical-buffer scratch, sized to the largest op
+  // this node touches; each transfer stages through its prefix.
+  std::unique_ptr<std::byte[]> scratch;
   bool hosts_source = false;
   std::vector<int> order;  // this node's schedule (function ids)
   // Epoch-continuous per-op send counters: how many iterations this
@@ -467,9 +476,10 @@ void Session::prewarm_pool_() {
 }
 
 void Session::allocate_states_() {
-  // Pre-allocate every staging buffer and the logical-buffer pool, so
-  // warm runs reuse memory instead of reallocating it. Also called by
-  // recover(), which changes thread->node placements.
+  // One arena and one scratch per node, laid out by the program's
+  // memory plan, so warm runs reuse memory instead of reallocating it.
+  // Also called by recover() and swap_program(), which change
+  // thread->node placements.
   const CompiledProgram& program = *program_;
   const GlueConfig& config = program.config;
   states_.clear();
@@ -480,33 +490,24 @@ void Session::allocate_states_() {
     if (schedule_it != config.schedule.end()) {
       state->order = schedule_it->second;
     }
-    state->staging.assign(
-        static_cast<std::size_t>(program.total_staging_slots), {});
-    state->logical.assign(
-        static_cast<std::size_t>(program.total_logical_slots), {});
+    const NodeMemoryPlan plan = plan_node_memory(program, r);
+    state->arena =
+        std::make_unique_for_overwrite<std::byte[]>(plan.arena_bytes);
+    state->zero_bytes = plan.zero_bytes;
+    state->staging.reserve(plan.slots.size());
+    for (const ArenaRegion& region : plan.slots) {
+      state->staging.emplace_back(state->arena.get() + region.offset,
+                                  region.bytes);
+    }
+    state->scratch =
+        std::make_unique_for_overwrite<std::byte[]>(plan.scratch_bytes);
     state->sends_done.assign(program.ops.size(), 0);
     states_.push_back(std::move(state));
   }
   for (const FunctionConfig& fn : config.functions) {
-    for (int t = 0; t < fn.threads; ++t) {
-      const int r = fn.thread_nodes[static_cast<std::size_t>(t)];
-      NodeState& state = *states_[static_cast<std::size_t>(r)];
-      if (fn.role == "source") state.hosts_source = true;
-      const auto& binds = program.bindings_of[static_cast<std::size_t>(
-          program.fn_thread_base[static_cast<std::size_t>(fn.id)] + t)];
-      for (const PortBinding& b : binds) {
-        std::size_t elems = 1;
-        for (const std::size_t d : b.local_dims) elems *= d;
-        state.staging[static_cast<std::size_t>(b.slot)].resize(elems *
-                                                               b.elem_bytes);
-      }
-    }
-  }
-  for (const TransferOp& op : program.ops) {
-    for (const int r : {op.src_node, op.dst_node}) {
-      states_[static_cast<std::size_t>(r)]
-          ->logical[static_cast<std::size_t>(op.logical_slot)]
-          .resize(op.bytes);
+    if (fn.role != "source") continue;
+    for (const int r : fn.thread_nodes) {
+      states_[static_cast<std::size_t>(r)]->hosts_source = true;
     }
   }
 }
@@ -697,11 +698,6 @@ void Session::reset_between_runs_() {
   metrics_.reset();
   for (const auto& state : states_) {
     std::fill(state->sends_done.begin(), state->sends_done.end(), 0u);
-    // Staging starts zeroed on a cold run (vector value-init); match it
-    // so a kernel that reads-before-write sees identical bytes.
-    for (auto& storage : state->staging) {
-      std::fill(storage.begin(), storage.end(), std::byte{0});
-    }
   }
 }
 
@@ -1174,15 +1170,12 @@ void Session::run_node_ticket_(net::NodeContext& node, StreamTicket& ticket) {
   const double recv_timeout = options_.recv_timeout_s;
 
   share.start_vt = node.now();
-  if (ticket.index > 0) {
-    // Later tickets of an epoch re-create the staging image a warm
-    // reset gives the first one: zeroed bytes (a host-side memset; the
-    // virtual clock is untouched), so read-before-write kernels see the
-    // same input whether data sets overlapped or ran back to back.
-    for (auto& storage : state.staging) {
-      std::fill(storage.begin(), storage.end(), std::byte{0});
-    }
-  }
+  // Every ticket starts with zeroed private staging (a host-side memset
+  // on this node's thread; the virtual clock is untouched), so a kernel
+  // that reads before it writes sees the same bytes whether data sets
+  // ran cold, warm, back to back or overlapped. Write-before-read slots
+  // are fully rewritten before every read and need no zeroing.
+  std::memset(state.arena.get(), 0, state.zero_bytes);
 
   // Per-channel effective flow-control depth: an explicit epoch depth
   // wins; streamed epochs fall back to the compiler's static ring bound
@@ -1309,10 +1302,11 @@ void Session::run_node_ticket_(net::NodeContext& node, StreamTicket& ticket) {
 
   /// The one landing and fill: copies `op`'s bytes from `src` (located
   /// by `from`) to `dst` (located by `to`). The unique policy stages
-  /// them through the op's logical buffer in the packed layout -- the
-  /// extra data access the paper's "unique logical buffers per
-  /// function" pays. `charged` puts the passes on the node's compute
-  /// clock; `hash` folds the body checksum into the last pass.
+  /// them through the node's logical-buffer scratch in the packed
+  /// layout -- the extra data access the paper's "unique logical
+  /// buffers per function" pays. `charged` puts the passes on the
+  /// node's compute clock; `hash` folds the body checksum into the last
+  /// pass.
   const auto transfer = [&](const TransferOp& op, SegOffset from,
                             std::span<const std::byte> src, SegOffset to,
                             std::span<std::byte> dst, bool charged,
@@ -1321,8 +1315,7 @@ void Session::run_node_ticket_(net::NodeContext& node, StreamTicket& ticket) {
     if (charged) scope.emplace(node.clock(), node.cpu_scale());
     std::uint64_t passes = 1;
     if (unique) {
-      std::span<std::byte> logical =
-          state.logical[static_cast<std::size_t>(op.logical_slot)];
+      const std::span<std::byte> logical(state.scratch.get(), op.bytes);
       copy_segs(op.segs, from, &ByteSeg::packed_off, src, logical, false);
       src = logical;
       from = &ByteSeg::packed_off;
@@ -1449,7 +1442,7 @@ void Session::run_node_ticket_(net::NodeContext& node, StreamTicket& ticket) {
           const TransferOp& op = program.ops[static_cast<std::size_t>(op_idx)];
           const PlannedBuffer& buf =
               program.buffers[static_cast<std::size_t>(op.buf)];
-          const std::vector<std::byte>& src_staging =
+          const std::span<const std::byte> src_staging =
               state.staging[static_cast<std::size_t>(op.src_slot)];
 
           if (op.dst_node == rank) {

@@ -8,10 +8,11 @@
 //   runtime::Compiler  lowers a GlueConfig + registry into an immutable
 //                      runtime::CompiledProgram (one-time planning);
 //   runtime::Session   executes a shared_ptr<const CompiledProgram>,
-//                      owning only mutable state: staging buffers, the
-//                      emulated machine (one parked host thread per
-//                      node), the metrics registry, and per-run
-//                      parameters.
+//                      owning only mutable state: one staging arena
+//                      and logical-buffer scratch per node (laid out
+//                      by runtime::plan_node_memory), the emulated
+//                      machine (one parked host thread per node), the
+//                      metrics registry, and per-run parameters.
 //
 // N concurrent sessions can execute one program; the content-addressed
 // plan cache (see compiler.hpp) lets a warm process restart skip the
@@ -43,11 +44,12 @@
 // Lifecycle: create -> run()/submit()* -> close (or destruction). Each
 // synchronous run is bit-equivalent to a cold run: virtual clocks
 // restart at zero, the fabric is drained and its totals zeroed,
-// trace buffers and result series are cleared, and staging memory is
-// rezeroed. Overlapped submissions keep bit-identical *results*
-// (checksums) -- flow-control traffic and virtual times may differ from
-// the sequential schedule, and fabric/pool counters are epoch-cumulative
-// at collection time.
+// trace buffers and result series are cleared, and every ticket starts
+// with zeroed staging wherever a kernel can read before the ticket
+// writes (see memory_plan.hpp). Overlapped submissions keep
+// bit-identical *results* (checksums) -- flow-control traffic and
+// virtual times may differ from the sequential schedule, and
+// fabric/pool counters are epoch-cumulative at collection time.
 #pragma once
 
 #include <condition_variable>
@@ -435,6 +437,8 @@ class Session {
   /// while the host thread is still collecting a pre-swap ticket.
   RunStats collect_(StreamTicket& ticket, const CompiledProgram& program);
   void reset_between_runs_();
+  /// Lays out every node's staging arena and logical-buffer scratch
+  /// from the program's memory plan and allocates them for overwrite.
   void allocate_states_();
   /// Tops the fabric's buffer pool up to the steady-state working set of
   /// the compiled program, so even a first run stays allocation-free on

@@ -200,7 +200,6 @@ TEST_P(ProgramSerializeTest, RandomGraphRoundTripIsByteExact) {
   EXPECT_EQ(restored->ops.size(), program->ops.size());
   EXPECT_EQ(restored->slot_base, program->slot_base);
   EXPECT_EQ(restored->total_staging_slots, program->total_staging_slots);
-  EXPECT_EQ(restored->total_logical_slots, program->total_logical_slots);
   EXPECT_EQ(restored->fn_thread_base, program->fn_thread_base);
   EXPECT_EQ(restored->recv_ops_of, program->recv_ops_of);
   EXPECT_EQ(restored->send_ops_of, program->send_ops_of);

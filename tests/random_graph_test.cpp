@@ -3,13 +3,15 @@
 // them through the whole pipeline -- model, validation, Alter glue
 // generation, runtime execution -- and verify that every element of an
 // identity chain arrives at the sink with exactly its global index.
-// Also covers fan-out/fan-in (diamond) topologies.
+// Also covers fan-out/fan-in (diamond) topologies, and checks every
+// node's memory plan of each random chain (memory_plan_check.hpp).
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "codegen/generator.hpp"
 #include "core/project.hpp"
+#include "memory_plan_check.hpp"
 #include "net/fault.hpp"
 #include "model/app.hpp"
 #include "model/hardware.hpp"
@@ -72,12 +74,15 @@ void add_float_port(ModelObject& fn, const char* name, PortDirection dir,
                   stripe_dim);
 }
 
-class RandomChainTest : public ::testing::TestWithParam<int> {};
+/// One random identity chain: src -> stage0 -> ... -> sink.
+struct RandomChain {
+  std::unique_ptr<model::Workspace> workspace;
+  int nodes = 0;
+  int stages = 0;
+};
 
-INSTANTIATE_TEST_SUITE_P(Seeds, RandomChainTest, ::testing::Range(0, 12));
-
-TEST_P(RandomChainTest, IdentityChainDeliversEveryElement) {
-  support::Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 3);
+RandomChain make_random_chain(int seed) {
+  support::Rng rng(static_cast<std::uint64_t>(seed) * 7919 + 3);
 
   const int nodes = rng.chance(0.5) ? 2 : 4;
   const int stages = 1 + static_cast<int>(rng.below(4));  // identity stages
@@ -132,8 +137,18 @@ TEST_P(RandomChainTest, IdentityChainDeliversEveryElement) {
   assign_all("sink", sink_threads);
 
   ws->validate_or_throw();
+  return {std::move(ws), nodes, stages};
+}
 
-  core::Project project(std::move(ws));
+class RandomChainTest : public ::testing::TestWithParam<int> {};
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RandomChainTest, ::testing::Range(0, 12));
+
+TEST_P(RandomChainTest, IdentityChainDeliversEveryElement) {
+  RandomChain chain = make_random_chain(GetParam());
+  const int nodes = chain.nodes;
+  const int stages = chain.stages;
+  core::Project project(std::move(chain.workspace));
   project.set_registry(test_registry());
   runtime::ExecuteOptions options;
   options.iterations = 2;
@@ -157,6 +172,16 @@ TEST_P(RandomChainTest, IdentityChainDeliversEveryElement) {
   EXPECT_EQ(planned.fabric_messages, stats.fabric_messages);
   EXPECT_EQ(planned.fabric_bytes, stats.fabric_bytes);
   EXPECT_EQ(planned.faults, runtime::FaultStats());
+}
+
+TEST_P(RandomChainTest, MemoryPlanHoldsOnEveryNode) {
+  RandomChain chain = make_random_chain(GetParam());
+  core::Project project(std::move(chain.workspace));
+  project.set_registry(test_registry());
+  const auto program = project.compile_program();
+  for (int node = 0; node < chain.nodes; ++node) {
+    runtime::expect_memory_plan_holds(*program, node);
+  }
 }
 
 TEST(DiamondTest, FanOutAndJoinSumTwice) {
