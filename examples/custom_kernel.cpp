@@ -79,6 +79,10 @@ int main() {
   core::Project project(std::move(ws));
   // Link the "function library": standard shelf + the user kernel.
   runtime::FunctionRegistry registry = runtime::standard_registry();
+  // Registered without an OutputAccess, the kernel keeps zeroed private
+  // outputs (read-modify-write). A kernel that writes every output byte
+  // on every call may pass runtime::OutputAccess::kOverwrite, letting the
+  // memory planner reuse its output staging (see memory_plan.hpp).
   registry.add("user.match_filter", match_filter);
   project.set_registry(std::move(registry));
 

@@ -310,23 +310,26 @@ void kernel_scale(KernelContext& ctx) {
 }  // namespace
 
 FunctionRegistry standard_registry() {
+  // Every shelf kernel writes its whole output (power_sum_outer zero-
+  // fills before accumulating), so none needs zeroed staging.
+  constexpr OutputAccess kOverwrite = OutputAccess::kOverwrite;
   FunctionRegistry registry;
-  registry.add("matrix_source", kernel_matrix_source);
-  registry.add("matrix_sink", kernel_matrix_sink);
-  registry.add("float_source", kernel_float_source);
-  registry.add("float_sink", kernel_float_sink);
-  registry.add("identity", kernel_identity);
-  registry.add("isspl.fft_rows", kernel_fft_rows);
-  registry.add("isspl.ifft_rows", kernel_ifft_rows);
-  registry.add("isspl.corner_turn_local", kernel_corner_turn_local);
-  registry.add("isspl.magnitude", kernel_magnitude);
-  registry.add("isspl.window_rows", kernel_window_rows);
-  registry.add("isspl.threshold", kernel_threshold);
-  registry.add("isspl.fir_rows", kernel_fir_rows);
-  registry.add("isspl.scale", kernel_scale);
-  registry.add("isspl.transpose_batch", kernel_transpose_batch);
-  registry.add("isspl.power_sum_outer", kernel_power_sum_outer);
-  registry.add("isspl.cfar_rows", kernel_cfar_rows);
+  registry.add("matrix_source", kernel_matrix_source, kOverwrite);
+  registry.add("matrix_sink", kernel_matrix_sink, kOverwrite);
+  registry.add("float_source", kernel_float_source, kOverwrite);
+  registry.add("float_sink", kernel_float_sink, kOverwrite);
+  registry.add("identity", kernel_identity, kOverwrite);
+  registry.add("isspl.fft_rows", kernel_fft_rows, kOverwrite);
+  registry.add("isspl.ifft_rows", kernel_ifft_rows, kOverwrite);
+  registry.add("isspl.corner_turn_local", kernel_corner_turn_local, kOverwrite);
+  registry.add("isspl.magnitude", kernel_magnitude, kOverwrite);
+  registry.add("isspl.window_rows", kernel_window_rows, kOverwrite);
+  registry.add("isspl.threshold", kernel_threshold, kOverwrite);
+  registry.add("isspl.fir_rows", kernel_fir_rows, kOverwrite);
+  registry.add("isspl.scale", kernel_scale, kOverwrite);
+  registry.add("isspl.transpose_batch", kernel_transpose_batch, kOverwrite);
+  registry.add("isspl.power_sum_outer", kernel_power_sum_outer, kOverwrite);
+  registry.add("isspl.cfar_rows", kernel_cfar_rows, kOverwrite);
   return registry;
 }
 

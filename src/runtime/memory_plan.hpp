@@ -3,32 +3,49 @@
 // compiled program instead of per slot at run time.
 //
 // plan_node_memory() lays out every staging slot one node hosts inside a
-// single arena:
+// single arena. One iteration of the node's firing order is a sequence
+// of steps: firing p receives at step 3p, runs its kernel at 3p + 1 and
+// sends at 3p + 2. A slot is *write-before-read* when its bytes are
+// fully rewritten before every read:
 //
-//   * an input slot is *write-before-read* when the ops landing in it
-//     tile [0, size) exactly and every one of them runs before the
-//     consumer's kernel in the node's firing order (remote receives run
-//     in the consumer's own receive phase; local deliveries in their
-//     producer's send phase, so the producer must fire first). Its bytes
-//     are fully rewritten before every read, so it is never zeroed, and
-//     slots whose live ranges (first write -> kernel read, within one
-//     iteration) do not overlap share arena bytes (cf. DaCe's transient
-//     memory reuse);
-//   * every other slot -- outputs, unconnected or partially written
-//     inputs, inputs whose producer fires after their consumer -- gets a
-//     private region in the arena prefix [0, zero_bytes), which the node
-//     zeroes at the start of every ticket, so a kernel that reads before
-//     it writes sees the same bytes as on a cold run.
+//   * an input slot whose ops tile [0, size) exactly and all run before
+//     the consumer's kernel (remote receives run in the consumer's own
+//     receive phase; local deliveries in their producer's send phase, so
+//     the producer must fire first);
+//   * an output slot of a kernel registered OutputAccess::kOverwrite:
+//     written at its kernel step, read in its send phase.
 //
-// The plan is a pure function of the lowered arrays: it is recomputed at
-// allocation time (construction, recover(), swap_program()) and never
-// serialized into the plan blob.
+// Write-before-read slots are never zeroed, and slots whose live ranges
+// (first write -> read) do not overlap share arena bytes (cf. DaCe's
+// transient memory reuse). Every other slot -- outputs of
+// read-modify-write kernels, unconnected or partially written inputs,
+// inputs whose producer fires after their consumer -- gets a private
+// region in the arena prefix [0, zero_bytes), which the node zeroes at
+// the start of every ticket, so a kernel that reads before it writes
+// sees the same bytes as on a cold run.
+//
+// Two data sets on one node: the *head* of an iteration is the firings
+// before the node's first remote receive, the *tail* the rest. A node
+// with no private slot and a non-empty head and tail is
+// *overlap-eligible*: in streamed epochs it may run head(i+1) before
+// tail(i) (see Session). Its plan covers one steady-state block
+// [head(i+1) steps, tail(i) steps]. A slot written in the head and read
+// in the tail is live across that block, so it gets two instances, one
+// per ticket parity: the old one is live from the block start to its
+// tail read, the new one from its head write to the block end. Nothing
+// needs zeroing: no tail step writes a slot a head step reads, because a
+// head read of a write-before-read slot follows all of its writes.
+//
+// The plan is a pure function of the lowered arrays and the kernels'
+// access facts: it is recomputed at allocation time (construction,
+// recover(), swap_program()) and never serialized into the plan blob.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 #include "runtime/program.hpp"
+#include "runtime/registry.hpp"
 
 namespace sage::runtime {
 
@@ -41,9 +58,17 @@ struct ArenaRegion {
 struct NodeMemoryPlan {
   /// Bytes of the node's staging arena.
   std::size_t arena_bytes = 0;
-  /// Arena placement by compiled slot id; slots hosted on other nodes
-  /// stay empty.
+  /// Arena placement by compiled slot id, for every ticket of a node
+  /// that is not overlap-eligible and for the even tickets (position in
+  /// their epoch) of one that is; slots hosted on other nodes stay
+  /// empty.
   std::vector<ArenaRegion> slots;
+  /// The odd tickets' placement on an overlap-eligible node, empty
+  /// otherwise. The two layouts mirror each other: each slot live
+  /// across the block takes its other instance, and the slots sharing
+  /// bytes with the two instances swap sides with them. The even one,
+  /// which synchronous runs use alone, is the one spanning fewer bytes.
+  std::vector<ArenaRegion> odd_slots;
   /// The private regions: the prefix [0, zero_bytes) of the arena,
   /// zeroed at the start of every ticket. Write-before-read slots lie
   /// beyond it.
@@ -51,11 +76,24 @@ struct NodeMemoryPlan {
   /// Bytes of the unique policy's logical-buffer scratch: the largest
   /// op this node sends or receives.
   std::size_t scratch_bytes = 0;
+  /// How many of the node's firings (its schedule's function threads
+  /// hosted here, in order) come before the first one with a remote
+  /// receive: the head of every iteration.
+  std::size_t head_firings = 0;
+  /// The node may run head(i+1) before tail(i) on this layout.
+  bool overlap = false;
 };
 
 /// Arena regions start on this boundary.
 inline constexpr std::size_t kArenaAlignment = 64;
 
-NodeMemoryPlan plan_node_memory(const CompiledProgram& program, int node);
+/// Every function's declared output access, by function id.
+std::vector<OutputAccess> output_access(const GlueConfig& config,
+                                        const FunctionRegistry& registry);
+
+/// `access` holds each function's output access by function id; without
+/// it every output is read-modify-write.
+NodeMemoryPlan plan_node_memory(const CompiledProgram& program, int node,
+                                const std::vector<OutputAccess>& access = {});
 
 }  // namespace sage::runtime

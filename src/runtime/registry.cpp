@@ -49,26 +49,33 @@ double KernelContext::param_or(std::string_view key, double fallback) const {
   return it == params.end() ? fallback : it->second;
 }
 
-void FunctionRegistry::add(std::string name, Kernel kernel) {
+void FunctionRegistry::add(std::string name, Kernel kernel,
+                           OutputAccess access) {
   SAGE_CHECK_AS(RuntimeError, kernel != nullptr, "null kernel for '", name,
                 "'");
-  const auto [it, inserted] =
-      kernels_.insert_or_assign(std::move(name), std::move(kernel));
-  (void)it;
-  (void)inserted;
+  kernels_.insert_or_assign(std::move(name), Entry{std::move(kernel), access});
 }
 
 bool FunctionRegistry::contains(std::string_view name) const {
   return kernels_.find(name) != kernels_.end();
 }
 
-const Kernel& FunctionRegistry::lookup(std::string_view name) const {
+const FunctionRegistry::Entry& FunctionRegistry::entry(
+    std::string_view name) const {
   auto it = kernels_.find(name);
   if (it == kernels_.end()) {
     raise<RuntimeError>("no kernel registered for '", std::string(name),
                         "' -- is the function library linked?");
   }
   return it->second;
+}
+
+const Kernel& FunctionRegistry::lookup(std::string_view name) const {
+  return entry(name).kernel;
+}
+
+OutputAccess FunctionRegistry::access(std::string_view name) const {
+  return entry(name).access;
 }
 
 std::vector<std::string> FunctionRegistry::names() const {

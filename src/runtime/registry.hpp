@@ -65,13 +65,21 @@ class KernelContext {
   /// Function parameter (from the model, via the glue config).
   double param_or(std::string_view key, double fallback) const;
 
+  /// Readies a context the engine bound once for its next firing: only
+  /// the iteration and the result change between firings.
+  void rearm(int iteration) {
+    iteration_ = iteration;
+    result_ = 0.0;
+    has_result_ = false;
+  }
+
   /// Records a scalar result (sinks publish checksums this way); the
   /// engine aggregates per function across threads and iterations.
   void set_result(double value) { result_ = value; has_result_ = true; }
   bool has_result() const { return has_result_; }
   double result() const { return result_; }
 
-  // Populated by the engine before the call:
+  // Bound by the engine once per firing site (not per call):
   std::vector<PortSlice> inputs;
   std::vector<PortSlice> outputs;
   std::map<std::string, double, std::less<>> params;
@@ -86,20 +94,48 @@ class KernelContext {
 
 using Kernel = std::function<void(KernelContext&)>;
 
+/// What a kernel does to the bytes of its output ports -- a fact about
+/// the kernel (cf. SDF-AP's access patterns), which the memory planner
+/// (memory_plan.hpp) uses to size and reuse staging.
+enum class OutputAccess : std::uint8_t {
+  /// The kernel may read an output before it writes it (an
+  /// accumulator). Its outputs get private staging, zeroed at the start
+  /// of every ticket, and the iterations of one ticket see what the
+  /// previous iteration left there. The default.
+  kReadModifyWrite,
+  /// The kernel writes every byte of every output before it reads any
+  /// of them, so the old contents never matter: the planner lets
+  /// outputs share bytes by live range and never zeroes them.
+  kOverwrite,
+};
+
 class FunctionRegistry {
  public:
   FunctionRegistry() = default;
 
-  void add(std::string name, Kernel kernel);
+  /// Registers (or replaces) `name`. Declare kOverwrite only for a
+  /// kernel that writes all of every output on every call; a kernel
+  /// registered without an access keeps zeroed private outputs.
+  void add(std::string name, Kernel kernel,
+           OutputAccess access = OutputAccess::kReadModifyWrite);
   bool contains(std::string_view name) const;
   const Kernel& lookup(std::string_view name) const;
+  /// The declared output access of `name`; throws like lookup().
+  OutputAccess access(std::string_view name) const;
   std::vector<std::string> names() const;
 
  private:
-  std::map<std::string, Kernel, std::less<>> kernels_;
+  struct Entry {
+    Kernel kernel;
+    OutputAccess access = OutputAccess::kReadModifyWrite;
+  };
+  const Entry& entry(std::string_view name) const;
+
+  std::map<std::string, Entry, std::less<>> kernels_;
 };
 
-/// Registry preloaded with the standard shelf kernels:
+/// Registry preloaded with the standard shelf kernels, every one
+/// declared OutputAccess::kOverwrite:
 ///   matrix_source, matrix_sink, identity,
 ///   isspl.fft_rows, isspl.ifft_rows, isspl.corner_turn_local,
 ///   isspl.magnitude, isspl.window_rows, isspl.threshold, isspl.fir_rows,

@@ -5,6 +5,7 @@
 #include "runtime/session.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstring>
 #include <map>
@@ -32,6 +33,23 @@ support::VirtualSeconds RunStats::mean_latency() const {
   return total / static_cast<double>(latencies.size());
 }
 
+namespace {
+
+/// One function thread a node fires every iteration, bound once per
+/// program: one KernelContext per ticket parity, its port slices
+/// pointing into that parity's staging, so a firing only rearms the
+/// iteration and the result.
+struct Firing {
+  int fn_id = -1;
+  int thread = 0;
+  std::size_t fti = 0;  // (function, thread) index into the program
+  bool sink = false;
+  bool probed = false;
+  std::vector<KernelContext> ctx;  // by ticket parity
+};
+
+}  // namespace
+
 /// Node-local state, allocated once per program (construction,
 /// recover(), swap_program()) and reused across runs. During an epoch a
 /// node's state is touched only by that node's worker thread; the host
@@ -43,14 +61,21 @@ struct Session::NodeState {
   // the private prefix [0, zero_bytes) or a transfer writes a slot.
   std::unique_ptr<std::byte[]> arena;
   std::size_t zero_bytes = 0;
-  // Staging views into the arena by compiled slot id (dense; non-local
-  // slots empty).
-  std::vector<std::span<std::byte>> staging;
+  // Staging views into the arena by ticket parity (position in the
+  // epoch), then compiled slot id (dense; non-local slots empty). The
+  // two layouts differ only on an overlap-eligible node.
+  std::array<std::vector<std::span<std::byte>>, 2> staging;
   // The unique policy's logical-buffer scratch, sized to the largest op
   // this node touches; each transfer stages through its prefix.
   std::unique_ptr<std::byte[]> scratch;
   bool hosts_source = false;
-  std::vector<int> order;  // this node's schedule (function ids)
+  // This node's firings in schedule order: [0, head) is the head of
+  // every iteration (the firings before its first remote receive), the
+  // rest the tail. `overlap`: the layout lets head(i+1) run before
+  // tail(i).
+  std::vector<Firing> firings;
+  std::size_t head = 0;
+  bool overlap = false;
   // Epoch-continuous per-op send counters: how many iterations this
   // node has pushed down each channel since the epoch began. The credit
   // predicate (sends_done >= depth) generalizes the old per-run
@@ -95,6 +120,16 @@ struct Session::StreamTicket {
   std::vector<NodeShare> nodes;  // by rank
 
   // Completion bookkeeping (guarded by Session::stream_mu_).
+  // Which host call came first: the next ticket joining this epoch
+  // (kFollowed: a node may run that ticket's head before this ticket's
+  // last tail) or a demand for this ticket -- wait, poll, drain or an
+  // epoch end (kDemanded: it runs to completion).
+  enum class Successor : std::uint8_t { kUndecided, kFollowed, kDemanded };
+  Successor successor = Successor::kUndecided;
+  /// A host call needs this ticket finished (stream_mu_ held).
+  void demand() {
+    if (successor == Successor::kUndecided) successor = Successor::kDemanded;
+  }
   int nodes_done = 0;
   bool done = false;
   std::exception_ptr error;  // lowest erroring rank wins
@@ -420,6 +455,7 @@ Session::Session(std::shared_ptr<const CompiledProgram> program,
   for (const FunctionConfig& fn : config.functions) {
     kernels_.push_back(registry.lookup(fn.kernel));  // throws when missing
   }
+  access_ = output_access(config, registry);
 
   if (!options_.cpu_scales.empty()) {
     SAGE_CHECK_AS(ConfigError,
@@ -486,22 +522,58 @@ void Session::allocate_states_() {
   states_.reserve(static_cast<std::size_t>(config.nodes));
   for (int r = 0; r < config.nodes; ++r) {
     auto state = std::make_unique<NodeState>();
-    auto schedule_it = config.schedule.find(r);
-    if (schedule_it != config.schedule.end()) {
-      state->order = schedule_it->second;
-    }
-    const NodeMemoryPlan plan = plan_node_memory(program, r);
+    const NodeMemoryPlan plan = plan_node_memory(program, r, access_);
     state->arena =
         std::make_unique_for_overwrite<std::byte[]>(plan.arena_bytes);
     state->zero_bytes = plan.zero_bytes;
-    state->staging.reserve(plan.slots.size());
-    for (const ArenaRegion& region : plan.slots) {
-      state->staging.emplace_back(state->arena.get() + region.offset,
-                                  region.bytes);
+    for (std::size_t parity = 0; parity < 2; ++parity) {
+      const std::vector<ArenaRegion>& slots =
+          parity == 1 && plan.overlap ? plan.odd_slots : plan.slots;
+      state->staging[parity].reserve(slots.size());
+      for (const ArenaRegion& region : slots) {
+        state->staging[parity].emplace_back(state->arena.get() + region.offset,
+                                            region.bytes);
+      }
     }
     state->scratch =
         std::make_unique_for_overwrite<std::byte[]>(plan.scratch_bytes);
     state->sends_done.assign(program.ops.size(), 0);
+    state->head = plan.head_firings;
+    state->overlap = plan.overlap;
+
+    // Bind every firing once: the per-firing thread filter, params copy
+    // and port-slice build happen here, not in the run loop.
+    const auto schedule_it = config.schedule.find(r);
+    if (schedule_it != config.schedule.end()) {
+      for (const int fn_id : schedule_it->second) {
+        const FunctionConfig& fn = config.function(fn_id);
+        for (int t = 0; t < fn.threads; ++t) {
+          if (fn.thread_nodes[static_cast<std::size_t>(t)] != r) continue;
+          Firing& firing = state->firings.emplace_back();
+          firing.fn_id = fn_id;
+          firing.thread = t;
+          firing.fti = static_cast<std::size_t>(
+              program.fn_thread_base[static_cast<std::size_t>(fn_id)] + t);
+          firing.sink = fn.role == "sink";
+          firing.probed = config.probed(fn_id);
+          for (std::size_t parity = 0; parity < 2; ++parity) {
+            KernelContext& ctx = firing.ctx.emplace_back(t, fn.threads, 0);
+            ctx.params.insert(fn.params.begin(), fn.params.end());
+            for (const PortBinding& b : program.bindings_of[firing.fti]) {
+              PortSlice slice;
+              slice.name = b.name;
+              slice.data =
+                  state->staging[parity][static_cast<std::size_t>(b.slot)];
+              slice.elem_bytes = b.elem_bytes;
+              slice.local_dims = b.local_dims;
+              slice.global_dims = b.global_dims;
+              slice.runs = b.runs;
+              (b.is_input ? ctx.inputs : ctx.outputs).push_back(std::move(slice));
+            }
+          }
+        }
+      }
+    }
     states_.push_back(std::move(state));
   }
   for (const FunctionConfig& fn : config.functions) {
@@ -748,6 +820,8 @@ void Session::end_epoch_() {
     if (!epoch_active_) return;
     // Every queued ticket lands first; collected or not, tickets stay
     // redeemable after their epoch closes.
+    for (const auto& ticket : epoch_tickets_) ticket->demand();
+    stream_cv_.notify_all();
     stream_done_cv_.wait(lock, [&] {
       for (const auto& ticket : epoch_tickets_) {
         if (!ticket->done) return false;
@@ -841,6 +915,11 @@ Ticket Session::submit_(const RunOverrides& request, bool streaming) {
     begin_epoch_(ticket->params, streaming);
     lock.lock();
   }
+  if (!epoch_tickets_.empty() &&
+      epoch_tickets_.back()->successor ==
+          StreamTicket::Successor::kUndecided) {
+    epoch_tickets_.back()->successor = StreamTicket::Successor::kFollowed;
+  }
   ticket->index = epoch_tickets_.size();
   epoch_tickets_.push_back(ticket);
   tickets_[ticket->id] = ticket;
@@ -866,6 +945,8 @@ bool Session::poll(Ticket ticket) const {
   SAGE_CHECK_AS(RuntimeError, it != tickets_.end(),
                 "Session::poll: unknown or already-collected ticket ",
                 ticket.id);
+  it->second->demand();
+  stream_cv_.notify_all();
   return it->second->done;
 }
 
@@ -880,6 +961,8 @@ RunStats Session::wait(Ticket ticket) {
                   "Session::wait: unknown or already-collected ticket ",
                   ticket.id);
     t = it->second;
+    t->demand();
+    stream_cv_.notify_all();
     stream_done_cv_.wait(lock, [&] { return t->done; });
     tickets_.erase(t->id);
     // Capture the program while stream_mu_ is held: a tuner-thread
@@ -916,9 +999,19 @@ int Session::in_flight() const {
   return static_cast<int>(tickets_.size());
 }
 
+int Session::op_depth_(const TransferOp& op) const {
+  // An explicit epoch depth wins; streamed epochs fall back to the
+  // compiler's static ring bound (TransferOp::ring_depth); synchronous
+  // epochs leave credits off (0 = unbounded), exactly the
+  // pre-streaming behaviour.
+  if (epoch_depth_ > 0) return epoch_depth_;
+  return epoch_streaming_ ? op.ring_depth : 0;
+}
+
 void Session::stream_worker_(net::NodeContext& node) {
   const int rank = node.rank();
   const int node_count = static_cast<int>(states_.size());
+  const NodeState& state = *states_[static_cast<std::size_t>(rank)];
 
   // Marks this node's share of `ticket` finished (stream_mu_ held). The
   // last node to land a ticket computes its completion facts -- tickets
@@ -954,50 +1047,105 @@ void Session::stream_worker_(net::NodeContext& node) {
     }
   };
 
-  // A node died: poison every ticket this node never started so
-  // completion bookkeeping converges (stream_mu_ held). No further
-  // tickets can join a failed epoch (submit_ checks under that mutex),
-  // so the sweep is complete.
+  // The tickets this node started and has not landed: `current`, whose
+  // head of iteration `iter` ran, and `next`, whose first head ran ahead
+  // of current's last tail.
   std::size_t cursor = 0;
-  const auto poison_unstarted = [&] {
-    for (; cursor < epoch_tickets_.size(); ++cursor) {
-      land(*epoch_tickets_[cursor],
+  std::shared_ptr<StreamTicket> current;
+  std::shared_ptr<StreamTicket> next;
+  int iter = 0;
+
+  // A node died: poison every ticket this node holds or never started so
+  // completion bookkeeping converges (stream_mu_ held), and wake peers
+  // into their own sweep. No further tickets can join a failed epoch
+  // (submit_ checks under that mutex), so the sweep is complete.
+  const auto abort = [&] {
+    const auto poison = [&](StreamTicket& ticket) {
+      land(ticket,
            std::make_exception_ptr(
                RuntimeError("streaming epoch aborted by a node failure")),
            /*poison=*/true);
+    };
+    for (std::shared_ptr<StreamTicket>* held : {&current, &next}) {
+      if (*held) poison(**held);
+      held->reset();
     }
+    for (; cursor < epoch_tickets_.size(); ++cursor) {
+      poison(*epoch_tickets_[cursor]);
+    }
+    stream_cv_.notify_all();
   };
 
-  for (;;) {
-    std::shared_ptr<StreamTicket> ticket;
-    {
-      std::unique_lock<std::mutex> lock(stream_mu_);
-      stream_cv_.wait(lock, [&] {
-        return epoch_failed_ || epoch_closing_ ||
-               cursor < epoch_tickets_.size();
-      });
-      if (epoch_failed_) {
-        poison_unstarted();
-        return;
+  // Two-stage modulo schedule: on an overlap-eligible layout in a
+  // streamed epoch the steady state is head(i+1) tail(i), so tail(i)'s
+  // receive waits overlap the next head's compute. Every remote channel
+  // the head sends on must hold two data sets: at depth 1, head(i+1)
+  // waits for the credit of i, which the consumer returns only in its
+  // own tail(i) -- after its head(i+1), which waits the same way.
+  bool overlap = state.overlap && epoch_streaming_;
+  for (std::size_t f = 0; f < state.head; ++f) {
+    for (const int op_idx : program_->send_ops_of[state.firings[f].fti]) {
+      const TransferOp& op = program_->ops[static_cast<std::size_t>(op_idx)];
+      if (op.dst_node != rank && op_depth_(op) < 2) overlap = false;
+    }
+  }
+
+  // The cached flow-control credit block lives as long as this epoch's
+  // worker, so it is back in the pool before the machine parks.
+  net::Payload credit;
+  StreamTicket* running = nullptr;  // the ticket of the running stage
+  const auto run = [&](StreamTicket& ticket, int it, Stage stage) {
+    running = &ticket;
+    run_node_ticket_(node, ticket, it, stage, credit);
+  };
+  try {
+    for (;;) {
+      if (current == nullptr) {
+        std::unique_lock<std::mutex> lock(stream_mu_);
+        stream_cv_.wait(lock, [&] {
+          return epoch_failed_ || epoch_closing_ ||
+                 cursor < epoch_tickets_.size();
+        });
+        if (epoch_failed_) return abort();
+        if (cursor >= epoch_tickets_.size()) return;  // epoch closing
+        current = epoch_tickets_[cursor++];
+        iter = 0;
+        lock.unlock();
+        run(*current, 0, Stage::kHead);
       }
-      if (cursor >= epoch_tickets_.size()) return;  // epoch closing
-      ticket = epoch_tickets_[cursor++];
-    }
+      // Iterations inside one ticket never overlap.
+      if (iter + 1 < current->params.iterations) {
+        run(*current, iter, Stage::kTail);
+        run(*current, ++iter, Stage::kHead);
+        continue;
+      }
+      if (overlap) {
+        // Host call order alone decides: the next ticket's publication
+        // or a demand for this one, whichever came first.
+        std::unique_lock<std::mutex> lock(stream_mu_);
+        stream_cv_.wait(lock, [&] {
+          return epoch_failed_ || current->successor !=
+                                      StreamTicket::Successor::kUndecided;
+        });
+        if (epoch_failed_) return abort();
+        if (current->successor == StreamTicket::Successor::kFollowed) {
+          next = epoch_tickets_[cursor++];
+        }
+      }
+      if (next != nullptr) run(*next, 0, Stage::kHead);
+      run(*current, iter, Stage::kTail);
 
-    std::exception_ptr error;
-    try {
-      run_node_ticket_(node, *ticket);
-    } catch (...) {
-      error = std::current_exception();
+      std::lock_guard<std::mutex> lock(stream_mu_);
+      land(*current, nullptr);
+      current = std::move(next);
+      iter = 0;
+      if (epoch_failed_) return abort();
     }
-
+  } catch (...) {
     std::lock_guard<std::mutex> lock(stream_mu_);
-    land(*ticket, std::move(error));
-    if (epoch_failed_) {
-      poison_unstarted();
-      stream_cv_.notify_all();  // wake peers into their poison sweep
-      return;
-    }
+    land(*running, std::current_exception());
+    (running == current.get() ? current : next).reset();
+    abort();
   }
 }
 
@@ -1011,6 +1159,11 @@ RunStats Session::collect_(StreamTicket& ticket,
   stats.iterations = iterations;
   stats.makespan = ticket.complete_vt;
   stats.stream_period = ticket.stream_period;
+  support::VirtualSeconds span_start = ticket.complete_vt;
+  for (const auto& share : ticket.nodes) {
+    span_start = std::min(span_start, share.start_vt);
+  }
+  stats.span = ticket.complete_vt - span_start;
   // Fabric and pool counters are epoch-cumulative at collection time:
   // exact per run on the synchronous path (one ticket per epoch over a
   // freshly reset fabric), cumulative-so-far under overlap.
@@ -1129,15 +1282,8 @@ RunStats Session::collect_(StreamTicket& ticket,
     // Per-stage occupancy over this ticket's span: kernel-busy virtual
     // seconds (all threads) / (span x thread count). The stage nearest
     // 1.0 is the one that sets the steady-state period.
-    support::VirtualSeconds span_start = ticket.nodes.empty()
-                                             ? 0.0
-                                             : ticket.nodes.front().start_vt;
-    for (const auto& share : ticket.nodes) {
-      span_start = std::min(span_start, share.start_vt);
-    }
-    const support::VirtualSeconds span = ticket.complete_vt - span_start;
     for (const FunctionConfig& fn : config.functions) {
-      const double capacity = span * static_cast<double>(fn.threads);
+      const double capacity = stats.span * static_cast<double>(fn.threads);
       stats.occupancy[fn.name] =
           capacity > 0.0
               ? fn_busy[static_cast<std::size_t>(fn.id)] / capacity
@@ -1155,7 +1301,8 @@ RunStats Session::collect_(StreamTicket& ticket,
   return stats;
 }
 
-void Session::run_node_ticket_(net::NodeContext& node, StreamTicket& ticket) {
+void Session::run_node_ticket_(net::NodeContext& node, StreamTicket& ticket,
+                               int iter, Stage stage, net::Payload& credit) {
   const int rank = node.rank();
   NodeState& state = *states_[static_cast<std::size_t>(rank)];
   StreamTicket::NodeShare& share =
@@ -1163,28 +1310,12 @@ void Session::run_node_ticket_(net::NodeContext& node, StreamTicket& ticket) {
   const CompiledProgram& program = *program_;
   const GlueConfig& cfg = program.config;
   const TicketParams& params = ticket.params;
-  const int iterations = params.iterations;
   const bool unique = params.policy == BufferPolicy::kUniquePerFunction;
   const bool trace = params.trace;
   const bool metrics = params.metrics;
   const double recv_timeout = options_.recv_timeout_s;
-
-  share.start_vt = node.now();
-  // Every ticket starts with zeroed private staging (a host-side memset
-  // on this node's thread; the virtual clock is untouched), so a kernel
-  // that reads before it writes sees the same bytes whether data sets
-  // ran cold, warm, back to back or overlapped. Write-before-read slots
-  // are fully rewritten before every read and need no zeroing.
-  std::memset(state.arena.get(), 0, state.zero_bytes);
-
-  // Per-channel effective flow-control depth: an explicit epoch depth
-  // wins; streamed epochs fall back to the compiler's static ring bound
-  // (TransferOp::ring_depth); synchronous epochs leave credits off (0 =
-  // unbounded), exactly the pre-streaming behaviour.
-  const auto op_depth = [&](const TransferOp& op) {
-    if (epoch_depth_ > 0) return epoch_depth_;
-    return epoch_streaming_ ? op.ring_depth : 0;
-  };
+  const std::size_t parity = ticket.index % 2;
+  const std::vector<std::span<std::byte>>& staging = state.staging[parity];
 
   // Fault mode is data, not a second path: with an active plan every
   // remote payload (data and credits) carries a frame header before
@@ -1286,9 +1417,8 @@ void Session::run_node_ticket_(net::NodeContext& node, StreamTicket& ticket) {
 
   // Flow-control credit: one zero body byte, sealed under a plan. The
   // content is constant, so one pooled block serves every credit send
-  // of the run; the fabric's copy-on-write keeps injected corruption
+  // of the epoch; the fabric's copy-on-write keeps injected corruption
   // off the shared block.
-  net::Payload credit;
   const auto send_credit = [&](int dst_node, int tag, int fn_id, int t,
                                int iter, const std::string& label) {
     if (credit.empty()) {
@@ -1326,7 +1456,21 @@ void Session::run_node_ticket_(net::NodeContext& node, StreamTicket& ticket) {
     return checksum;
   };
 
-  for (int iter = 0; iter < iterations; ++iter) {
+  std::size_t first = state.head;
+  std::size_t last = state.firings.size();
+  if (stage == Stage::kHead) {
+    first = 0;
+    last = state.head;
+    if (iter == 0) {
+      share.start_vt = node.now();
+      // Every ticket starts with zeroed private staging (a host-side
+      // memset on this node's thread; the virtual clock is untouched),
+      // so a kernel that reads before it writes sees the same bytes
+      // whether data sets ran cold, warm, back to back or overlapped.
+      // Write-before-read slots are fully rewritten before every read
+      // and need no zeroing.
+      std::memset(state.arena.get(), 0, state.zero_bytes);
+    }
     if (faulty) {
       // Modeled node hiccup entering this iteration (thermal event,
       // competing load, GC pause on the emulated host...).
@@ -1345,160 +1489,141 @@ void Session::run_node_ticket_(net::NodeContext& node, StreamTicket& ticket) {
                      0, "iteration");
       }
     }
+  }
 
-    for (int fn_id : state.order) {
-      const FunctionConfig& fn = cfg.function(fn_id);
-      for (int t = 0; t < fn.threads; ++t) {
-        if (fn.thread_nodes[static_cast<std::size_t>(t)] != rank) continue;
-        const auto fti = static_cast<std::size_t>(
-            program.fn_thread_base[static_cast<std::size_t>(fn_id)] + t);
+  for (std::size_t f = first; f < last; ++f) {
+    Firing& firing = state.firings[f];
+    const int fn_id = firing.fn_id;
+    const int t = firing.thread;
 
-        // --- 1. receive remote inputs -----------------------------------
-        for (const int op_idx : program.recv_ops_of[fti]) {
-          const TransferOp& op = program.ops[static_cast<std::size_t>(op_idx)];
-          const PlannedBuffer& buf =
-              program.buffers[static_cast<std::size_t>(op.buf)];
-          const double t_before = node.now();
-          net::Payload payload =
-              recv(op.src_node, op.tag, fn_id, t, iter, buf.label);
-          const std::span<const std::byte> body =
-              payload.bytes().subspan(frame_off);
-          if (trace) {
-            record_event(viz::EventKind::kReceive, fn_id, t, iter, t_before,
-                         body.size(), buf.label);
-          }
-          transfer(op, &ByteSeg::packed_off, body, &ByteSeg::dst_off,
-                   state.staging[static_cast<std::size_t>(op.dst_slot)],
-                   /*charged=*/true, /*hash=*/false);
-          // Release the pooled block before the credit round-trip so the
-          // producer's next payload can reuse it.
-          payload.reset();
-          if (op_depth(op) > 0) {
-            send_credit(op.src_node, op.tag, fn_id, t, iter,
-                        buf.label + " credit");
-          }
-        }
+    // --- 1. receive remote inputs -------------------------------------
+    for (const int op_idx : program.recv_ops_of[firing.fti]) {
+      const TransferOp& op = program.ops[static_cast<std::size_t>(op_idx)];
+      const PlannedBuffer& buf =
+          program.buffers[static_cast<std::size_t>(op.buf)];
+      const double t_before = node.now();
+      net::Payload payload =
+          recv(op.src_node, op.tag, fn_id, t, iter, buf.label);
+      const std::span<const std::byte> body =
+          payload.bytes().subspan(frame_off);
+      if (trace) {
+        record_event(viz::EventKind::kReceive, fn_id, t, iter, t_before,
+                     body.size(), buf.label);
+      }
+      transfer(op, &ByteSeg::packed_off, body, &ByteSeg::dst_off,
+               staging[static_cast<std::size_t>(op.dst_slot)],
+               /*charged=*/true, /*hash=*/false);
+      // Release the pooled block before the credit round-trip so the
+      // producer's next payload can reuse it.
+      payload.reset();
+      if (op_depth_(op) > 0) {
+        send_credit(op.src_node, op.tag, fn_id, t, iter,
+                    buf.label + " credit");
+      }
+    }
 
-        // --- 2. execute the kernel ---------------------------------------
-        KernelContext kctx(t, fn.threads, iter);
-        kctx.params.insert(fn.params.begin(), fn.params.end());
-        for (const PortBinding& b : program.bindings_of[fti]) {
-          PortSlice slice;
-          slice.name = b.name;
-          slice.data = state.staging[static_cast<std::size_t>(b.slot)];
-          slice.elem_bytes = b.elem_bytes;
-          slice.local_dims = b.local_dims;
-          slice.global_dims = b.global_dims;
-          slice.runs = b.runs;
-          if (b.is_input) {
-            kctx.inputs.push_back(std::move(slice));
-          } else {
-            kctx.outputs.push_back(std::move(slice));
-          }
-        }
+    // --- 2. execute the kernel -----------------------------------------
+    KernelContext& kctx = firing.ctx[parity];
+    kctx.rearm(iter);
+    const double exec_start = node.now();
+    {
+      support::ComputeScope scope(node.clock(), node.cpu_scale());
+      kernels_[static_cast<std::size_t>(fn_id)](kctx);
+    }
+    if (metrics) {
+      // Two fixed-slot accumulator writes, folded into the metrics
+      // registry at collection (the registry stays host-only while
+      // tickets overlap); like the probes, charged to host time only.
+      share.fn_busy[static_cast<std::size_t>(fn_id)] +=
+          node.now() - exec_start;
+      share.fn_calls[static_cast<std::size_t>(fn_id)] += 1.0;
+    }
+    if (trace && firing.probed) {
+      viz::Event start;
+      start.kind = viz::EventKind::kFunctionStart;
+      start.function_id = fn_id;
+      start.thread = t;
+      start.iteration = iter;
+      start.start_vt = start.end_vt = exec_start;
+      start.label = cfg.function(fn_id).name;
+      share.events.record(start);
+      viz::Event end = start;
+      end.kind = viz::EventKind::kFunctionEnd;
+      end.start_vt = end.end_vt = node.now();
+      share.events.record(end);
+    }
+    if (kctx.has_result()) {
+      share.results.emplace_back(fn_id, iter, kctx.result());
+    }
+    if (firing.sink) {
+      share.iter_end.push_back(node.now());
+      if (trace) {
+        record_event(viz::EventKind::kIterationEnd, -1, 0, iter, node.now(),
+                     0, "iteration");
+      }
+    }
 
-        const double exec_start = node.now();
-        {
-          support::ComputeScope scope(node.clock(), node.cpu_scale());
-          kernels_[static_cast<std::size_t>(fn_id)](kctx);
-        }
-        if (metrics) {
-          // Two fixed-slot accumulator writes, folded into the metrics
-          // registry at collection (the registry stays host-only while
-          // tickets overlap); like the probes, charged to host time only.
-          share.fn_busy[static_cast<std::size_t>(fn_id)] +=
-              node.now() - exec_start;
-          share.fn_calls[static_cast<std::size_t>(fn_id)] += 1.0;
-        }
-        if (trace && cfg.probed(fn_id)) {
-          viz::Event start;
-          start.kind = viz::EventKind::kFunctionStart;
-          start.function_id = fn_id;
-          start.thread = t;
-          start.iteration = iter;
-          start.start_vt = start.end_vt = exec_start;
-          start.label = fn.name;
-          share.events.record(start);
-          viz::Event end = start;
-          end.kind = viz::EventKind::kFunctionEnd;
-          end.start_vt = end.end_vt = node.now();
-          share.events.record(end);
-        }
-        if (kctx.has_result()) {
-          share.results.emplace_back(fn_id, iter, kctx.result());
-        }
-        if (fn.role == "sink") {
-          share.iter_end.push_back(node.now());
-          if (trace) {
-            record_event(viz::EventKind::kIterationEnd, -1, 0, iter,
-                         node.now(), 0, "iteration");
-          }
-        }
+    // --- 3. send outputs -------------------------------------------------
+    int last_group = -1;
+    net::Payload group_payload;
+    for (const int op_idx : program.send_ops_of[firing.fti]) {
+      const TransferOp& op = program.ops[static_cast<std::size_t>(op_idx)];
+      const PlannedBuffer& buf =
+          program.buffers[static_cast<std::size_t>(op.buf)];
+      const std::span<const std::byte> src_staging =
+          staging[static_cast<std::size_t>(op.src_slot)];
 
-        // --- 3. send outputs ----------------------------------------------
-        int last_group = -1;
-        net::Payload group_payload;
-        for (const int op_idx : program.send_ops_of[fti]) {
-          const TransferOp& op = program.ops[static_cast<std::size_t>(op_idx)];
-          const PlannedBuffer& buf =
-              program.buffers[static_cast<std::size_t>(op.buf)];
-          const std::span<const std::byte> src_staging =
-              state.staging[static_cast<std::size_t>(op.src_slot)];
-
-          if (op.dst_node == rank) {
-            // Local delivery straight into the consumer's staging.
-            const double t_before = node.now();
-            transfer(op, &ByteSeg::src_off, src_staging, &ByteSeg::dst_off,
-                     state.staging[static_cast<std::size_t>(op.dst_slot)],
-                     /*charged=*/true, /*hash=*/false);
-            if (trace) {
-              record_event(viz::EventKind::kBufferCopy, fn_id, t, iter,
-                           t_before, op.bytes, buf.label);
-            }
-            continue;
-          }
-
-          const int depth = op_depth(op);
-          if (depth > 0 &&
-              state.sends_done[static_cast<std::size_t>(op_idx)] >=
-                  static_cast<std::uint32_t>(depth)) {
-            // Wait for a free slot in this channel's physical-buffer
-            // ring: the consumer's credit for send (n - depth). The
-            // counter is epoch-continuous, so a producer k tickets
-            // ahead still respects the ring bound across data sets.
-            (void)recv(op.dst_node, op.tag, fn_id, t, iter,
-                       buf.label + " credit");
-          }
-          const double t_before = node.now();
-          net::Payload payload;
-          if (!unique && op.share_group >= 0 && op.share_group == last_group) {
-            // Fan-out share: this destination receives the same bytes
-            // the group leader packed -- send the handle, not a copy.
-            payload = group_payload;
-          } else {
-            payload = pool.acquire(frame_off + op.bytes);
-            const std::span<std::byte> frame = payload.writable();
-            // A clean, shared, contiguous send borrows the staging
-            // slice into the payload in one pass, modeled as a DMA
-            // gather: not charged to the node's compute clock.
-            const bool charged = unique || faulty || !op.contiguous;
-            seal(frame, transfer(op, &ByteSeg::src_off, src_staging,
-                                 &ByteSeg::packed_off,
-                                 frame.subspan(frame_off), charged, faulty));
-            if (!unique && op.share_group >= 0) {
-              last_group = op.share_group;
-              group_payload = payload;
-            }
-          }
-          send(op.dst_node, op.tag, std::move(payload), op.bytes, fn_id, t,
-               iter, buf.label);
-          share.bytes_moved += op.bytes;
-          ++state.sends_done[static_cast<std::size_t>(op_idx)];
-          if (trace) {
-            record_event(viz::EventKind::kSend, fn_id, t, iter, t_before,
-                         op.bytes, buf.label);
-          }
+      if (op.dst_node == rank) {
+        // Local delivery straight into the consumer's staging.
+        const double t_before = node.now();
+        transfer(op, &ByteSeg::src_off, src_staging, &ByteSeg::dst_off,
+                 staging[static_cast<std::size_t>(op.dst_slot)],
+                 /*charged=*/true, /*hash=*/false);
+        if (trace) {
+          record_event(viz::EventKind::kBufferCopy, fn_id, t, iter, t_before,
+                       op.bytes, buf.label);
         }
+        continue;
+      }
+
+      const int depth = op_depth_(op);
+      if (depth > 0 && state.sends_done[static_cast<std::size_t>(op_idx)] >=
+                           static_cast<std::uint32_t>(depth)) {
+        // Wait for a free slot in this channel's physical-buffer ring:
+        // the consumer's credit for send (n - depth). The counter is
+        // epoch-continuous, so a producer k tickets ahead still
+        // respects the ring bound across data sets.
+        (void)recv(op.dst_node, op.tag, fn_id, t, iter,
+                   buf.label + " credit");
+      }
+      const double t_before = node.now();
+      net::Payload payload;
+      if (!unique && op.share_group >= 0 && op.share_group == last_group) {
+        // Fan-out share: this destination receives the same bytes the
+        // group leader packed -- send the handle, not a copy.
+        payload = group_payload;
+      } else {
+        payload = pool.acquire(frame_off + op.bytes);
+        const std::span<std::byte> frame = payload.writable();
+        // A clean, shared, contiguous send borrows the staging slice
+        // into the payload in one pass, modeled as a DMA gather: not
+        // charged to the node's compute clock.
+        const bool charged = unique || faulty || !op.contiguous;
+        seal(frame, transfer(op, &ByteSeg::src_off, src_staging,
+                             &ByteSeg::packed_off, frame.subspan(frame_off),
+                             charged, faulty));
+        if (!unique && op.share_group >= 0) {
+          last_group = op.share_group;
+          group_payload = payload;
+        }
+      }
+      send(op.dst_node, op.tag, std::move(payload), op.bytes, fn_id, t, iter,
+           buf.label);
+      share.bytes_moved += op.bytes;
+      ++state.sends_done[static_cast<std::size_t>(op_idx)];
+      if (trace) {
+        record_event(viz::EventKind::kSend, fn_id, t, iter, t_before,
+                     op.bytes, buf.label);
       }
     }
   }

@@ -223,6 +223,10 @@ struct RunStats {
   /// synchronous run()) -- the steady-state measure only exists once
   /// the pipeline is primed.
   support::VirtualSeconds stream_period = 0.0;
+  /// Virtual time from the first node starting this ticket to its
+  /// completion: the ticket's latency through the machine, all
+  /// iterations included.
+  support::VirtualSeconds span = 0.0;
   /// Per-stage occupancy: each function's kernel-busy virtual seconds
   /// (summed over threads) divided by (ticket span x thread count) --
   /// the fraction of the stage's capacity this data set used. Near 1.0
@@ -429,7 +433,14 @@ class Session {
   /// One node's worker loop for an epoch: pulls tickets in submission
   /// order and executes this node's share of each.
   void stream_worker_(net::NodeContext& node);
-  void run_node_ticket_(net::NodeContext& node, StreamTicket& ticket);
+  /// Runs one stage of iteration `iter` of `ticket` on `node`: the head
+  /// of its firing list (opening the ticket and the iteration) or the
+  /// tail. `credit` caches the node's flow-control credit block.
+  enum class Stage { kHead, kTail };
+  void run_node_ticket_(net::NodeContext& node, StreamTicket& ticket,
+                        int iter, Stage stage, net::Payload& credit);
+  /// The flow-control depth of `op` in the active epoch (0: unbounded).
+  int op_depth_(const TransferOp& op) const;
   /// Host-side collection: aggregates a completed ticket into RunStats
   /// (latencies, results, trace merge, metrics fold + snapshot). Reads
   /// the program through the caller-captured pointer, never program_
@@ -452,7 +463,8 @@ class Session {
   /// tuner thread.
   std::shared_ptr<const CompiledProgram> program_;
   ExecuteOptions options_;
-  std::vector<Kernel> kernels_;  // by function id
+  std::vector<Kernel> kernels_;        // by function id
+  std::vector<OutputAccess> access_;  // by function id, for the planner
 
   std::unique_ptr<net::Machine> machine_;
   std::vector<std::unique_ptr<NodeState>> states_;
@@ -475,7 +487,8 @@ class Session {
   // thread (submit/wait/drain -- Sessions stay single-host-threaded)
   // owns epoch boundaries; node workers and the host meet on stream_mu_.
   mutable std::mutex stream_mu_;
-  std::condition_variable stream_cv_;       // workers: new ticket / close
+  // Workers: new ticket, demanded ticket, close. poll() demands too.
+  mutable std::condition_variable stream_cv_;
   std::condition_variable stream_done_cv_;  // host: ticket completion
   std::vector<std::shared_ptr<StreamTicket>> epoch_tickets_;
   std::map<std::uint64_t, std::shared_ptr<StreamTicket>> tickets_;

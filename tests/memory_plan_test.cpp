@@ -2,8 +2,9 @@
 // designs, the two benchmark applications and hand-built schedules --
 // pure planning, no kernels and no fabric. The properties every plan
 // must hold live in memory_plan_check.hpp (shared with the random-graph
-// test); this suite adds the pinned byte counts of the 2D FFT and the
-// cases that must stay private.
+// test); this suite adds the pinned byte counts of the 2D FFT, with and
+// without the standard kernels' output access, and the cases that must
+// stay private.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -18,6 +19,7 @@
 #include "runtime/glue_config.hpp"
 #include "runtime/memory_plan.hpp"
 #include "runtime/program.hpp"
+#include "runtime/registry.hpp"
 
 #ifndef SAGE_GOLDEN_DIR
 #error "SAGE_GOLDEN_DIR must be defined by the build"
@@ -43,9 +45,14 @@ std::shared_ptr<const CompiledProgram> app_program(
   return project.compile_program();
 }
 
+/// Checks every node without access facts and with the standard
+/// registry's (every shelf kernel overwrites its outputs).
 void expect_plan_holds_on_every_node(const CompiledProgram& program) {
+  const std::vector<OutputAccess> access =
+      output_access(program.config, standard_registry());
   for (int node = 0; node < program.config.nodes; ++node) {
     expect_memory_plan_holds(program, node);
+    expect_memory_plan_holds(program, node, access);
   }
 }
 
@@ -81,6 +88,56 @@ TEST(MemoryPlanTest, Fft2d512OnTwoNodesPlansFiveMiBArenaAndOneMiBScratch) {
     EXPECT_EQ(plan.zero_bytes, 4 * kMiB);
     EXPECT_EQ(plan.arena_bytes, 5 * kMiB);
     EXPECT_EQ(plan.scratch_bytes, 1 * kMiB);
+  }
+}
+
+TEST(MemoryPlanTest, Fft2d512WithOverwritingKernelsPlansThreeMiBAndZeroesNothing) {
+  // Every shelf kernel overwrites its outputs, so all eight 1 MiB slices
+  // are write-before-read. The head (src, fft_rows) runs the next data
+  // set while the tail (corner_turn, fft_cols, sink) finishes the
+  // current one, so corner_turn.in -- half filled by fft_rows' local
+  // delivery in the head, half by the tail's receive -- has one instance
+  // per ticket parity. Three slices are live at once: the old
+  // corner_turn.in, the new one and the slice fft_rows sends from.
+  const auto program = app_program(apps::make_fft2d_workspace(512, 2));
+  const std::vector<OutputAccess> access =
+      output_access(program->config, standard_registry());
+  const int corner_turn = 2;
+  ASSERT_EQ(program->config.function(corner_turn).name, "corner_turn");
+  for (int node = 0; node < 2; ++node) {
+    SCOPED_TRACE("node " + std::to_string(node));
+    const NodeMemoryPlan plan = plan_node_memory(*program, node, access);
+    EXPECT_EQ(plan.zero_bytes, 0u);
+    EXPECT_LE(plan.arena_bytes, 3 * kMiB);
+    EXPECT_EQ(plan.scratch_bytes, 1 * kMiB);
+    EXPECT_TRUE(plan.overlap);
+    EXPECT_EQ(plan.head_firings, 2u);  // src, fft_rows
+
+    const auto fti = static_cast<std::size_t>(
+        program->fn_thread_base[corner_turn] + node);
+    const PortBinding& in = program->bindings_of[fti].front();
+    ASSERT_TRUE(in.is_input);
+    const ArenaRegion& even = plan.slots[static_cast<std::size_t>(in.slot)];
+    const ArenaRegion& odd = plan.odd_slots[static_cast<std::size_t>(in.slot)];
+    EXPECT_EQ(even.bytes, 1 * kMiB);
+    EXPECT_EQ(odd.bytes, 1 * kMiB);
+    EXPECT_TRUE(even.offset + even.bytes <= odd.offset ||
+                odd.offset + odd.bytes <= even.offset)
+        << "the two corner_turn.in instances share bytes";
+  }
+}
+
+TEST(MemoryPlanTest, CornerTurn512WithOverwritingKernelsZeroesNothing) {
+  // src | corner_turn, sink: the old and new corner_turn.in and the
+  // source slice its head sends from are live together.
+  const auto program = app_program(apps::make_cornerturn_workspace(512, 2));
+  const std::vector<OutputAccess> access =
+      output_access(program->config, standard_registry());
+  for (int node = 0; node < 2; ++node) {
+    const NodeMemoryPlan plan = plan_node_memory(*program, node, access);
+    EXPECT_EQ(plan.zero_bytes, 0u);
+    EXPECT_LE(plan.arena_bytes, 3 * kMiB);
+    EXPECT_TRUE(plan.overlap);
   }
 }
 

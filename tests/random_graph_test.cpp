@@ -179,8 +179,11 @@ TEST_P(RandomChainTest, MemoryPlanHoldsOnEveryNode) {
   core::Project project(std::move(chain.workspace));
   project.set_registry(test_registry());
   const auto program = project.compile_program();
+  const std::vector<runtime::OutputAccess> access =
+      runtime::output_access(program->config, test_registry());
   for (int node = 0; node < chain.nodes; ++node) {
     runtime::expect_memory_plan_holds(*program, node);
+    runtime::expect_memory_plan_holds(*program, node, access);
   }
 }
 

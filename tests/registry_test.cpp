@@ -62,6 +62,32 @@ TEST(RegistryTest, LookupAndErrors) {
   EXPECT_THROW(r2.add("x", nullptr), RuntimeError);
 }
 
+TEST(RegistryTest, OutputAccessDefaultsToReadModifyWrite) {
+  FunctionRegistry registry;
+  registry.add("user.accumulate", [](KernelContext&) {});
+  registry.add("user.fill", [](KernelContext&) {}, OutputAccess::kOverwrite);
+  EXPECT_EQ(registry.access("user.accumulate"),
+            OutputAccess::kReadModifyWrite);
+  EXPECT_EQ(registry.access("user.fill"), OutputAccess::kOverwrite);
+  EXPECT_THROW((void)registry.access("user.missing"), RuntimeError);
+
+  // Every shelf kernel writes its whole output.
+  const FunctionRegistry standard = standard_registry();
+  for (const std::string& name : standard.names()) {
+    EXPECT_EQ(standard.access(name), OutputAccess::kOverwrite) << name;
+  }
+}
+
+TEST(RegistryTest, RearmResetsIterationAndResult) {
+  KernelContext ctx(1, 2, 0);
+  ctx.set_result(3.0);
+  ctx.rearm(4);
+  EXPECT_EQ(ctx.iteration(), 4);
+  EXPECT_FALSE(ctx.has_result());
+  EXPECT_EQ(ctx.thread(), 1);
+  EXPECT_EQ(ctx.num_threads(), 2);
+}
+
 TEST(RegistryTest, TestPatternDeterministicAndIterationDependent) {
   EXPECT_EQ(test_pattern(5, 0), test_pattern(5, 0));
   EXPECT_NE(test_pattern(5, 0), test_pattern(5, 1));

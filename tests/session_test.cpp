@@ -512,7 +512,7 @@ INSTANTIATE_TEST_SUITE_P(
                 "injected=3/4/1 retries=7 observed=3/4/1 degraded=0 "
                 "events=24/24/24/24/16/8/8/0/9/7/0"},
         PinCase{"cornerturn", BufferPolicy::kUniquePerFunction, true, true,
-                "messages=178 bytes=172927 copied=1081344 moved=147456 "
+                "messages=178 bytes=179068 copied=1081344 moved=147456 "
                 "injected=21/13/10 retries=34 observed=15/10/3 degraded=0 "
                 "events=72/72/72/72/48/24/24/0/37/34/0"},
         PinCase{"cornerturn", BufferPolicy::kShared, false, false,
@@ -528,7 +528,7 @@ INSTANTIATE_TEST_SUITE_P(
                 "injected=3/4/1 retries=7 observed=3/4/1 degraded=0 "
                 "events=24/24/24/24/16/8/8/0/9/7/0"},
         PinCase{"cornerturn", BufferPolicy::kShared, true, true,
-                "messages=178 bytes=172927 copied=540672 moved=147456 "
+                "messages=178 bytes=179068 copied=540672 moved=147456 "
                 "injected=21/13/10 retries=34 observed=15/10/3 degraded=0 "
                 "events=72/72/72/72/48/24/24/0/37/34/0"},
         PinCase{"fft2d", BufferPolicy::kUniquePerFunction, false, false,
@@ -544,7 +544,7 @@ INSTANTIATE_TEST_SUITE_P(
                 "injected=3/4/1 retries=7 observed=3/4/1 degraded=0 "
                 "events=40/40/24/24/32/8/8/0/9/7/0"},
         PinCase{"fft2d", BufferPolicy::kUniquePerFunction, true, true,
-                "messages=178 bytes=172927 copied=1867776 moved=147456 "
+                "messages=178 bytes=179068 copied=1867776 moved=147456 "
                 "injected=21/13/10 retries=34 observed=15/10/3 degraded=0 "
                 "events=120/120/72/72/96/24/24/0/37/34/0"},
         PinCase{"fft2d", BufferPolicy::kShared, false, false,
@@ -560,7 +560,7 @@ INSTANTIATE_TEST_SUITE_P(
                 "injected=3/4/1 retries=7 observed=3/4/1 degraded=0 "
                 "events=40/40/24/24/32/8/8/0/9/7/0"},
         PinCase{"fft2d", BufferPolicy::kShared, true, true,
-                "messages=178 bytes=172927 copied=933888 moved=147456 "
+                "messages=178 bytes=179068 copied=933888 moved=147456 "
                 "injected=21/13/10 retries=34 observed=15/10/3 degraded=0 "
                 "events=120/120/72/72/96/24/24/0/37/34/0"},
         PinCase{"fanout", BufferPolicy::kUniquePerFunction, false, false,

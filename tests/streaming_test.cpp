@@ -10,15 +10,22 @@
 //     stalls keep the clean checksums under depth-3 streaming;
 //   * recover() quiesces mid-stream and later submissions run degraded;
 //   * on a pipelined stage chain the steady-state period drops below
-//     the single-data-set latency (period != latency, paper Table 1).
+//     the single-data-set latency (period != latency, paper Table 1);
+//   * on a data-parallel mapping each node runs the next data set's
+//     head before the current one's tail, in an order fixed by the host
+//     calls alone, and a tail that fails poisons the head that ran
+//     ahead of it.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <memory>
 #include <random>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "apps/benchmarks.hpp"
@@ -601,6 +608,181 @@ TEST(StreamingTest, PollOnARedeemedTicketThrowsTheCollectedError) {
   session->drain();
   EXPECT_THROW(session->poll(drained), RuntimeError);
   EXPECT_THROW(session->wait(drained), RuntimeError);
+}
+
+// --- two-stage node schedules ---------------------------------------------
+
+/// One kernel boundary: (event kind, function, ticket).
+using FiringEvent = std::tuple<viz::EventKind, std::string, std::uint64_t>;
+
+/// Every kernel start and end of `tickets`, per node, in the node's
+/// execution order: each node's virtual clock is monotone and every
+/// kernel advances it, so sorting by start time (an end before a start
+/// at the same instant) recovers the order the node ran them in.
+std::map<int, std::vector<FiringEvent>> firings_by_node(
+    const std::vector<RunStats>& tickets) {
+  std::map<int, std::vector<std::pair<std::pair<double, int>, FiringEvent>>>
+      timed;
+  for (const RunStats& stats : tickets) {
+    for (const viz::Event& e : stats.trace.events()) {
+      if (e.kind != viz::EventKind::kFunctionStart &&
+          e.kind != viz::EventKind::kFunctionEnd) {
+        continue;
+      }
+      const int start_last = e.kind == viz::EventKind::kFunctionStart ? 1 : 0;
+      timed[e.node].push_back(
+          {{e.start_vt, start_last}, {e.kind, e.label, stats.ticket}});
+    }
+  }
+  std::map<int, std::vector<FiringEvent>> order;
+  for (auto& [node, events] : timed) {
+    std::sort(events.begin(), events.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (const auto& [when, event] : events) order[node].push_back(event);
+  }
+  return order;
+}
+
+/// When `function` started on `node` in `stats` (its first iteration).
+double start_of(const RunStats& stats, int node, const std::string& function) {
+  for (const viz::Event& e : stats.trace.events()) {
+    if (e.node == node && e.kind == viz::EventKind::kFunctionStart &&
+        e.label == function) {
+      return e.start_vt;
+    }
+  }
+  ADD_FAILURE() << function << " never started on node " << node;
+  return 0.0;
+}
+
+/// Submits `sets` data sets, then waits for each in order.
+std::vector<RunStats> submit_then_wait(Session& session, int sets,
+                                       const RunOverrides& request = {}) {
+  std::vector<Ticket> tickets;
+  for (int i = 0; i < sets; ++i) tickets.push_back(session.submit(request));
+  std::vector<RunStats> stats;
+  for (const Ticket t : tickets) stats.push_back(session.wait(t));
+  return stats;
+}
+
+TEST(StreamingTest, EachNodeRunsTheNextHeadBeforeTheCurrentTail) {
+  // fft2d 64x2: every node's head is src, fft_rows (up to its first
+  // remote receive) and its tail corner_turn, fft_cols, sink. With four
+  // data sets submitted before the first wait, each of the first three
+  // is followed before it is demanded, so a node starts the next data
+  // set's head before the current one's tail.
+  ExecuteOptions options;
+  options.iterations = 1;
+  const auto stream = [&] {
+    core::Project project(make_workspace("fft2d"));
+    auto session = project.open_session(options);
+    return submit_then_wait(*session, 4);
+  };
+  const std::vector<RunStats> first = stream();
+  const std::vector<RunStats> second = stream();
+  ASSERT_EQ(first.size(), 4u);
+
+  // The same host calls give the same per-node order in a fresh session.
+  EXPECT_EQ(firings_by_node(first), firings_by_node(second));
+  for (int node = 0; node < 2; ++node) {
+    for (std::size_t i = 0; i + 1 < first.size(); ++i) {
+      EXPECT_LT(start_of(first[i + 1], node, "src"),
+                start_of(first[i], node, "corner_turn"))
+          << "node " << node << ", data set " << i;
+    }
+  }
+  core::Project reference(make_workspace("fft2d"));
+  const RunStats sequential = reference.execute(options);
+  for (const RunStats& stats : first) {
+    EXPECT_EQ(stats.results, sequential.results);
+  }
+}
+
+TEST(StreamingTest, WaitLoopsDepthOneAndRunKeepDataSetsApart) {
+  // A data set demanded before the next one is published runs to the
+  // end first; so does every data set at depth 1, where head(i+1) would
+  // wait for a credit only tail(i) returns; and run() is one data set.
+  ExecuteOptions options;
+  options.iterations = 1;
+  core::Project project(make_workspace("fft2d"));
+  auto session = project.open_session(options);
+  const auto expect_apart = [](const std::vector<RunStats>& tickets,
+                               const char* what) {
+    for (const auto& [node, events] : firings_by_node(tickets)) {
+      for (std::size_t k = 1; k < events.size(); ++k) {
+        EXPECT_LE(std::get<2>(events[k - 1]), std::get<2>(events[k]))
+            << what << ": node " << node << " interleaved data sets";
+      }
+    }
+  };
+
+  std::vector<RunStats> looped;
+  for (int i = 0; i < 4; ++i) looped.push_back(session->wait(session->submit()));
+  expect_apart(looped, "submit; wait");
+
+  RunOverrides one;
+  one.buffer_depth = 1;
+  expect_apart(submit_then_wait(*session, 4, one), "depth 1");
+
+  // run(): every node fires its schedule in order, iteration by
+  // iteration.
+  RunOverrides two;
+  two.iterations = 2;
+  const std::vector<std::string> schedule = {"src", "fft_rows", "corner_turn",
+                                             "fft_cols", "sink"};
+  for (const auto& [node, events] : firings_by_node({session->run(two)})) {
+    std::vector<std::string> started;
+    for (const auto& [kind, function, ticket] : events) {
+      if (kind == viz::EventKind::kFunctionStart) started.push_back(function);
+    }
+    std::vector<std::string> expected = schedule;
+    expected.insert(expected.end(), schedule.begin(), schedule.end());
+    EXPECT_EQ(started, expected) << "node " << node;
+  }
+}
+
+TEST(StreamingTest, AFailedTailPoisonsTheHeadThatRanAheadOfIt) {
+  // The sink throws in iteration 1, which only the second data set
+  // has. Its last head is followed by the third data set's head on
+  // every node, so the third lands poisoned although its head ran, the
+  // fourth never starts, and the session recovers for the next run.
+  FunctionRegistry registry = standard_registry();
+  const Kernel sink = registry.lookup("matrix_sink");
+  registry.add(
+      "matrix_sink",
+      [sink](KernelContext& ctx) {
+        if (ctx.iteration() == 1) raise<RuntimeError>("sink fault");
+        sink(ctx);
+      },
+      OutputAccess::kOverwrite);
+  core::Project project(make_workspace("fft2d"));
+  project.set_registry(registry);
+  ExecuteOptions options;
+  options.iterations = 1;
+  options.collect_trace = false;
+  auto session = project.open_session(options);
+  const RunStats reference = session->run();
+
+  RunOverrides longer;
+  longer.iterations = 2;
+  const Ticket a = session->submit();
+  const Ticket b = session->submit(longer);
+  const Ticket c = session->submit();
+  const Ticket d = session->submit();
+  EXPECT_EQ(session->wait(a).results, reference.results);
+  const auto error_of = [&](Ticket ticket) {
+    try {
+      session->wait(ticket);
+    } catch (const RuntimeError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_NE(error_of(b).find("sink fault"), std::string::npos);
+  EXPECT_NE(error_of(c).find("aborted by a node failure"), std::string::npos);
+  EXPECT_NE(error_of(d).find("aborted by a node failure"), std::string::npos);
+  EXPECT_EQ(session->in_flight(), 0);
+  EXPECT_EQ(session->run().results, reference.results);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <map>
+#include <ostream>
 #include <vector>
 
 #include "runtime/striping.hpp"
@@ -88,6 +89,22 @@ struct SpecCase {
   int threads;
 };
 
+// gtest prints a parameter with no printer as its raw bytes, which for the
+// dims vector are heap addresses; the printed value becomes part of each
+// case's ctest name, so print the spec itself: "8x8_d1_x4" is an 8x8 array
+// striped along dim 1 over 4 threads, "8x8_rep_x3" is replicated on 3.
+void PrintTo(const SpecCase& c, std::ostream* os) {
+  for (std::size_t i = 0; i < c.dims.size(); ++i) {
+    *os << (i ? "x" : "") << c.dims[i];
+  }
+  if (c.striping == Striping::kStriped) {
+    *os << "_d" << c.dim;
+  } else {
+    *os << "_rep";
+  }
+  *os << "_x" << c.threads;
+}
+
 class SliceProperty : public ::testing::TestWithParam<SpecCase> {};
 
 INSTANTIATE_TEST_SUITE_P(
@@ -141,6 +158,12 @@ struct PlanCase {
   SpecCase src;
   SpecCase dst;
 };
+
+void PrintTo(const PlanCase& c, std::ostream* os) {
+  PrintTo(c.src, os);
+  *os << "_to_";
+  PrintTo(c.dst, os);
+}
 
 class PlanProperty : public ::testing::TestWithParam<PlanCase> {};
 

@@ -455,6 +455,7 @@ int cmd_run(const Args& args) {
   // time between completions) can drop below the single-set latency.
   double stream_host = 0.0;
   double period_sum = 0.0;
+  double span_sum = 0.0;
   int period_count = 0;
   if (runs > 1) {
     std::vector<runtime::Ticket> tickets;
@@ -464,6 +465,7 @@ int cmd_run(const Args& args) {
       stats = session->wait(ticket);
       if (stats.stream_period > 0) {
         period_sum += stats.stream_period;
+        span_sum += stats.span;
         ++period_count;
       }
     }
@@ -478,10 +480,12 @@ int cmd_run(const Args& args) {
                 " data sets\n",
                 cold_host * 1e3, stream_host * 1e3, runs - 1);
     if (period_count > 0) {
+      // Both sides per ticket: span / period is how many data sets
+      // are in flight at once.
       const double period = period_sum / period_count;
       std::printf("streaming:    achieved period %.3f ms (virtual),"
                   " overlap %.2fx\n",
-                  period * 1e3, period > 0 ? latency / period : 0.0);
+                  period * 1e3, period > 0 ? span_sum / period_sum : 0.0);
     }
     if (!stats.occupancy.empty()) {
       std::printf("occupancy:   ");
