@@ -51,7 +51,7 @@ case "$flavor" in
       random_graph_test memory_plan_test serve_test transport_test \
       tuner_test alter_test alter_script_test codegen_test \
       codegen_golden_test isspl_test"
-    filter='(Fabric|Session|DataPlane|Streaming|Striping|Redistribution|Fault|Degraded|Pipeline|Registry|Metrics|Trace|Analysis|Export|Program|PlanCache|MemoryPlan|RandomChain|Diamond|Serve|Transport|Shmem|Tuner|Alter|Reader|Eval|Builtin|Emit|Vm|Codegen|Fft|Transpose)'
+    filter='(Fabric|Session|StepOrder|DataPlane|Streaming|Striping|Redistribution|Fault|Degraded|Pipeline|Registry|Metrics|Trace|Analysis|Export|Program|PlanCache|MemoryPlan|RandomChain|Diamond|Serve|Transport|Shmem|Tuner|Alter|Reader|Eval|Builtin|Emit|Vm|Codegen|Fft|Transpose)'
     ;;
   tsan)
     cmake_flag=-DSAGE_TSAN=ON
@@ -59,7 +59,7 @@ case "$flavor" in
       fault_test viz_test metrics_test program_test random_graph_test \
       memory_plan_test serve_test transport_test tuner_test \
       alter_test alter_script_test codegen_test codegen_golden_test"
-    filter='(Machine|Fabric|Mpi|Executor|Session|DataPlane|Streaming|Registry|Redistribution|WarmCold|Fault|Degraded|Metrics|Trace|Analysis|Export|Program|PlanCache|MemoryPlan|RandomChain|Diamond|Serve|Transport|Shmem|Tuner|Alter|Reader|Eval|Builtin|Emit|Vm|Codegen)'
+    filter='(Machine|Fabric|Mpi|Executor|Session|StepOrder|DataPlane|Streaming|Registry|Redistribution|WarmCold|Fault|Degraded|Metrics|Trace|Analysis|Export|Program|PlanCache|MemoryPlan|RandomChain|Diamond|Serve|Transport|Shmem|Tuner|Alter|Reader|Eval|Builtin|Emit|Vm|Codegen)'
     ;;
   ubsan)
     cmake_flag=-DSAGE_UBSAN=ON
@@ -68,7 +68,7 @@ case "$flavor" in
       program_test random_graph_test memory_plan_test serve_test \
       transport_test tuner_test alter_test alter_script_test codegen_test \
       codegen_golden_test"
-    filter='(Fabric|Session|DataPlane|Streaming|Striping|Redistribution|Fault|Degraded|Pipeline|Fft|Transpose|Kernel|Registry|Plan|Metrics|Program|PlanCache|RandomChain|Diamond|Serve|Transport|Shmem|Tuner|Alter|Reader|Eval|Builtin|Emit|Vm|Codegen)'
+    filter='(Fabric|Session|StepOrder|DataPlane|Streaming|Striping|Redistribution|Fault|Degraded|Pipeline|Fft|Transpose|Kernel|Registry|Plan|Metrics|Program|PlanCache|RandomChain|Diamond|Serve|Transport|Shmem|Tuner|Alter|Reader|Eval|Builtin|Emit|Vm|Codegen)'
     ;;
   *)
     echo "usage: $0 <asan|tsan|ubsan> [build-dir]" >&2

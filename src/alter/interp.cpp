@@ -279,9 +279,4 @@ void Interpreter::emit(std::string_view text) {
   outputs_[current_output_] += text;
 }
 
-void Interpreter::clear_outputs() {
-  outputs_.clear();
-  current_output_ = "default";
-}
-
 }  // namespace sage::alter

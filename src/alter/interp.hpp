@@ -81,7 +81,6 @@ class Interpreter {
   void emit(std::string_view text);
   /// All streams written during evaluation, keyed by name.
   const std::map<std::string, std::string>& outputs() const { return outputs_; }
-  void clear_outputs();
 
   /// Values printed by (print ...) -- captured for tests and tools.
   const std::string& print_log() const { return print_log_; }

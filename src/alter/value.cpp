@@ -44,13 +44,6 @@ const ValueList& Value::as_list() const {
   raise<AlterError>("not a list: ", to_string());
 }
 
-ValueList& Value::as_list_mut() {
-  if (auto* l = std::get_if<std::shared_ptr<ValueList>>(&storage_)) {
-    return **l;
-  }
-  raise<AlterError>("not a list: ", to_string());
-}
-
 const Builtin& Value::as_builtin() const {
   if (const auto* b =
           std::get_if<std::shared_ptr<const Builtin>>(&storage_)) {

@@ -138,7 +138,6 @@ class Value {
   const std::string& as_string() const;
   const Symbol& as_symbol() const;
   const ValueList& as_list() const;
-  ValueList& as_list_mut();
   const Builtin& as_builtin() const;
   const Lambda& as_lambda() const;
   const std::shared_ptr<const Closure>& as_closure() const;

@@ -204,28 +204,6 @@ ArcView arc_view(const ModelObject& application, const ModelObject& arc) {
   return view;
 }
 
-std::vector<ArcView> arcs_into(const ModelObject& application,
-                               const ModelObject& function) {
-  std::vector<ArcView> out;
-  for (const ModelObject* arc : arcs(application)) {
-    if (arc->property("dst_function").as_string() == function.name()) {
-      out.push_back(arc_view(application, *arc));
-    }
-  }
-  return out;
-}
-
-std::vector<ArcView> arcs_out_of(const ModelObject& application,
-                                 const ModelObject& function) {
-  std::vector<ArcView> out;
-  for (const ModelObject* arc : arcs(application)) {
-    if (arc->property("src_function").as_string() == function.name()) {
-      out.push_back(arc_view(application, *arc));
-    }
-  }
-  return out;
-}
-
 std::vector<ModelObject*> topological_order(const ModelObject& application) {
   const std::vector<ModelObject*> fns = functions(application);
   std::map<const ModelObject*, int> in_degree;

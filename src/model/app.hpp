@@ -109,12 +109,6 @@ std::vector<ModelObject*> arcs(const ModelObject& application);
 PortView port_view(const ModelObject& port);
 ArcView arc_view(const ModelObject& application, const ModelObject& arc);
 
-/// Arcs entering / leaving a function.
-std::vector<ArcView> arcs_into(const ModelObject& application,
-                               const ModelObject& function);
-std::vector<ArcView> arcs_out_of(const ModelObject& application,
-                                 const ModelObject& function);
-
 /// Functions in dependency order; throws sage::ModelError on a cycle.
 std::vector<ModelObject*> topological_order(const ModelObject& application);
 

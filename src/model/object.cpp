@@ -38,11 +38,6 @@ void ModelObject::set_property(std::string_view key, PropertyValue value) {
   props_.insert_or_assign(std::string(key), std::move(value));
 }
 
-void ModelObject::remove_property(std::string_view key) {
-  auto it = props_.find(key);
-  if (it != props_.end()) props_.erase(it);
-}
-
 ModelObject& ModelObject::add_child(std::string type, std::string name) {
   auto child = std::make_unique<ModelObject>(std::move(type), std::move(name));
   return adopt(std::move(child));

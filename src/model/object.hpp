@@ -39,7 +39,6 @@ class ModelObject {
   PropertyValue property_or(std::string_view key,
                             PropertyValue fallback) const;
   void set_property(std::string_view key, PropertyValue value);
-  void remove_property(std::string_view key);
   const std::map<std::string, PropertyValue, std::less<>>& properties() const {
     return props_;
   }

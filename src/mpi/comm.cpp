@@ -105,13 +105,6 @@ Status Communicator::recv_bytes(std::span<std::byte> data, int src, int tag) {
   return raw_recv(data, src, tag);
 }
 
-std::vector<std::byte> Communicator::recv_any_bytes(int src, int tag,
-                                                    Status* status_out) {
-  const net::Payload payload = recv_payload(src, tag, status_out);
-  const auto bytes = payload.bytes();
-  return std::vector<std::byte>(bytes.begin(), bytes.end());
-}
-
 net::Payload Communicator::recv_payload(int src, int tag, Status* status_out) {
   const int world_src =
       (src == kAnySource) ? net::kAnySource : world_rank_of(src);

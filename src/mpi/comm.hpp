@@ -68,7 +68,6 @@ class Communicator {
 
   /// Host wall-clock budget for blocking receives before they throw
   /// sage::CommError (turns emulated-network deadlocks into failures).
-  void set_recv_timeout(double seconds) { recv_timeout_s_ = seconds; }
   double recv_timeout() const { return recv_timeout_s_; }
 
   /// Splits into sub-communicators by color (ranks with equal color join
@@ -79,10 +78,6 @@ class Communicator {
   // --- point to point (byte level) ---------------------------------------
   void send_bytes(std::span<const std::byte> data, int dst, int tag);
   Status recv_bytes(std::span<std::byte> data, int src, int tag);
-  /// Receives into a freshly sized vector (when length is sender-defined).
-  /// The bytes are copied out of the fabric's pooled buffer; use
-  /// recv_payload() to keep the pooled buffer instead.
-  std::vector<std::byte> recv_any_bytes(int src, int tag, Status* status = nullptr);
   /// Zero-copy receive: returns the pooled payload handle itself (the
   /// buffer goes back to the fabric's pool when the handle dies).
   net::Payload recv_payload(int src, int tag, Status* status = nullptr);

@@ -132,11 +132,6 @@ MachineReport Machine::join_run() {
   return report;
 }
 
-bool Machine::dispatch_active() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dispatched_;
-}
-
 MachineReport Machine::run(const NodeProgram& program) {
   dispatch(program);
   return join_run();

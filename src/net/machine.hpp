@@ -125,9 +125,6 @@ class Machine {
   /// the per-node final virtual times. Must pair with a dispatch().
   MachineReport join_run();
 
-  /// True between dispatch() and the matching join_run().
-  bool dispatch_active() const;
-
  private:
   void worker_loop_(int rank);
 

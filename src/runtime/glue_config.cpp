@@ -150,6 +150,21 @@ void GlueConfig::validate() const {
   }
 }
 
+std::map<int, std::vector<int>> schedule_by_id(const GlueConfig& config) {
+  std::map<int, std::vector<int>> schedule;
+  for (int r = 0; r < config.nodes; ++r) {
+    std::vector<int> order;
+    for (const FunctionConfig& fn : config.functions) {
+      if (std::find(fn.thread_nodes.begin(), fn.thread_nodes.end(), r) !=
+          fn.thread_nodes.end()) {
+        order.push_back(fn.id);
+      }
+    }
+    if (!order.empty()) schedule[r] = std::move(order);
+  }
+  return schedule;
+}
+
 namespace {
 
 std::string dims_to_string(const std::vector<std::size_t>& dims) {

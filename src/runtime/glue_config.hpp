@@ -104,6 +104,12 @@ struct GlueConfig {
   void validate() const;
 };
 
+/// The per-node schedules the code generator emits for `config`'s
+/// placement: function-table ids in id order, filtered to the nodes
+/// that host a thread of the function. recover() and the tuner re-emit
+/// schedules with it after moving threads.
+std::map<int, std::vector<int>> schedule_by_id(const GlueConfig& config);
+
 /// Serializes to the textual format above (what the generator emits).
 std::string serialize(const GlueConfig& config);
 

@@ -16,7 +16,7 @@ std::size_t end_of(const ArenaRegion& region) {
   return region.offset + region.bytes;
 }
 
-/// What one iteration of the node's firing order does to one slot; its
+/// What one iteration of the node's steps does to one slot; its
 /// live range is [first_write, read_step].
 struct SlotUse {
   std::size_t bytes = 0;
@@ -130,75 +130,61 @@ std::vector<OutputAccess> output_access(const GlueConfig& config,
   return access;
 }
 
-NodeMemoryPlan plan_node_memory(const CompiledProgram& program, int node,
+NodeMemoryPlan plan_node_memory(const CompiledProgram& program,
+                                const NodeProgram& share,
                                 const std::vector<OutputAccess>& access) {
-  const GlueConfig& config = program.config;
   std::vector<SlotUse> use(
       static_cast<std::size_t>(program.total_staging_slots));
-  const auto fti_of = [&](const FunctionConfig& fn, int t) {
-    return static_cast<std::size_t>(
-        program.fn_thread_base[static_cast<std::size_t>(fn.id)] + t);
-  };
 
-  // Every port slice of every thread placed on this node.
-  for (const FunctionConfig& fn : config.functions) {
-    for (int t = 0; t < fn.threads; ++t) {
-      if (fn.thread_nodes[static_cast<std::size_t>(t)] != node) continue;
-      for (const PortBinding& b : program.bindings_of[fti_of(fn, t)]) {
-        std::size_t elems = 1;
-        for (const std::size_t d : b.local_dims) elems *= d;
-        use[static_cast<std::size_t>(b.slot)].bytes = elems * b.elem_bytes;
-      }
+  // Every port slice of every firing on this node.
+  for (const NodeFiring& firing : share.firings) {
+    for (const PortBinding& b : program.bindings_of[firing.fti]) {
+      std::size_t elems = 1;
+      for (const std::size_t d : b.local_dims) elems *= d;
+      use[static_cast<std::size_t>(b.slot)].bytes = elems * b.elem_bytes;
     }
   }
 
-  // One iteration of the firing order, as the executor issues it.
+  // One iteration of the node's steps, each at its firing's phase.
+  const auto time = [](const Step& s) {
+    const int phase = s.kind == StepKind::kReceive ? 0
+                      : s.kind == StepKind::kFire  ? 1
+                                                   : 2;
+    return 3 * s.firing + phase;
+  };
   const auto write = [&](SlotUse& u, int step, std::size_t offset,
                          std::size_t len) {
     u.first_write = std::min(u.first_write, step);
     u.last_write = std::max(u.last_write, step);
     u.writes.emplace_back(offset, len);
   };
-  const auto land = [&](int op_idx, int step) {
-    const TransferOp& op = program.ops[static_cast<std::size_t>(op_idx)];
-    SlotUse& u = use[static_cast<std::size_t>(op.dst_slot)];
-    for (const ByteSeg& s : op.segs) write(u, step, s.dst_off, s.len);
-  };
   NodeMemoryPlan plan;
-  int step = 0;
-  std::size_t firings = 0;
-  bool head = true;
-  if (const auto order = config.schedule.find(node);
-      order != config.schedule.end()) {
-    for (const int fn_id : order->second) {
-      const FunctionConfig& fn = config.function(fn_id);
-      const bool overwrite =
-          !access.empty() &&
-          access[static_cast<std::size_t>(fn_id)] == OutputAccess::kOverwrite;
-      for (int t = 0; t < fn.threads; ++t) {
-        if (fn.thread_nodes[static_cast<std::size_t>(t)] != node) continue;
-        const std::size_t fti = fti_of(fn, t);
-        head = head && program.recv_ops_of[fti].empty();
-        if (head) ++plan.head_firings;
-        for (const int op_idx : program.recv_ops_of[fti]) land(op_idx, step);
-        for (const PortBinding& b : program.bindings_of[fti]) {
-          SlotUse& u = use[static_cast<std::size_t>(b.slot)];
-          if (b.is_input) {
-            ++u.reads;
-            u.read_step = step + 1;
-          } else if (overwrite) {
-            write(u, step + 1, 0, u.bytes);
-            ++u.reads;
-            u.read_step = step + 2;
-          }
-        }
-        for (const int op_idx : program.send_ops_of[fti]) {
-          if (program.ops[static_cast<std::size_t>(op_idx)].dst_node == node) {
-            land(op_idx, step + 2);
-          }
-        }
-        step += 3;
-        ++firings;
+  for (const Step& s : share.steps) {
+    const int step = time(s);
+    if (s.kind != StepKind::kFire) {
+      // The unique policy stages every op the node runs through scratch;
+      // receives and deliveries land in this node's staging.
+      const TransferOp& op = program.ops[static_cast<std::size_t>(s.op)];
+      plan.scratch_bytes = std::max(plan.scratch_bytes, op.bytes);
+      if (s.kind == StepKind::kSend) continue;
+      SlotUse& u = use[static_cast<std::size_t>(op.dst_slot)];
+      for (const ByteSeg& seg : op.segs) write(u, step, seg.dst_off, seg.len);
+      continue;
+    }
+    const NodeFiring& firing =
+        share.firings[static_cast<std::size_t>(s.firing)];
+    const bool overwrite = !access.empty() &&
+                           access[static_cast<std::size_t>(firing.fn_id)] ==
+                               OutputAccess::kOverwrite;
+    for (const PortBinding& b : program.bindings_of[firing.fti]) {
+      SlotUse& u = use[static_cast<std::size_t>(b.slot)];
+      if (b.is_input) {
+        ++u.reads;
+        u.read_step = step;
+      } else if (overwrite) {
+        write(u, step, 0, u.bytes);
+        ++u.reads;
+        u.read_step = step + 1;
       }
     }
   }
@@ -217,14 +203,14 @@ NodeMemoryPlan plan_node_memory(const CompiledProgram& program, int node,
     plan.zero_bytes = offset + use[s].bytes;
   }
   plan.arena_bytes = plan.zero_bytes;
-  plan.overlap = plan.zero_bytes == 0 && plan.head_firings > 0 &&
-                 plan.head_firings < firings;
+  plan.overlap = plan.zero_bytes == 0 && share.head > 0 &&
+                 share.head < share.steps.size();
 
   // The shared slots, placed as one block. On an overlap-eligible node a
   // slot written in the head and read in the tail becomes two crossing
   // instances: old (ticket i) and new (ticket i + 1).
-  const int head_end = static_cast<int>(3 * plan.head_firings);
-  const int block_end = step - 1;
+  const int head_end = plan.overlap ? time(share.steps[share.head]) : 0;
+  const int block_end = 3 * static_cast<int>(share.firings.size()) - 1;
   std::vector<Item> items;
   for (const std::size_t s : shared) {
     const SlotUse& u = use[s];
@@ -292,11 +278,6 @@ NodeMemoryPlan plan_node_memory(const CompiledProgram& program, int node,
     }
   }
 
-  for (const TransferOp& op : program.ops) {
-    if (op.src_node == node || op.dst_node == node) {
-      plan.scratch_bytes = std::max(plan.scratch_bytes, op.bytes);
-    }
-  }
   return plan;
 }
 

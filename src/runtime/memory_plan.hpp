@@ -3,10 +3,12 @@
 // compiled program instead of per slot at run time.
 //
 // plan_node_memory() lays out every staging slot one node hosts inside a
-// single arena. One iteration of the node's firing order is a sequence
-// of steps: firing p receives at step 3p, runs its kernel at 3p + 1 and
-// sends at 3p + 2. A slot is *write-before-read* when its bytes are
-// fully rewritten before every read:
+// single arena. It reads the node's step list from lower_node(), the
+// same list the executor runs, and times each step by its firing's
+// phase: the steps of firing p happen at 3p (receives), 3p + 1 (the
+// kernel) and 3p + 2 (local deliveries and sends). A slot is
+// *write-before-read* when its bytes are fully rewritten before every
+// read:
 //
 //   * an input slot whose ops tile [0, size) exactly and all run before
 //     the consumer's kernel (remote receives run in the consumer's own
@@ -24,11 +26,11 @@
 // the start of every ticket, so a kernel that reads before it writes
 // sees the same bytes as on a cold run.
 //
-// Two data sets on one node: the *head* of an iteration is the firings
-// before the node's first remote receive, the *tail* the rest. A node
-// with no private slot and a non-empty head and tail is
-// *overlap-eligible*: in streamed epochs it may run head(i+1) before
-// tail(i) (see Session). Its plan covers one steady-state block
+// Two data sets on one node: the *head* of an iteration is the step
+// range before the node's first remote receive (NodeProgram::head), the
+// *tail* the rest. A node with no private slot and a non-empty head and
+// tail is *overlap-eligible*: in streamed epochs it may run head(i+1)
+// before tail(i) (see Session). Its plan covers one steady-state block
 // [head(i+1) steps, tail(i) steps]. A slot written in the head and read
 // in the tail is live across that block, so it gets two instances, one
 // per ticket parity: the old one is live from the block start to its
@@ -76,10 +78,6 @@ struct NodeMemoryPlan {
   /// Bytes of the unique policy's logical-buffer scratch: the largest
   /// op this node sends or receives.
   std::size_t scratch_bytes = 0;
-  /// How many of the node's firings (its schedule's function threads
-  /// hosted here, in order) come before the first one with a remote
-  /// receive: the head of every iteration.
-  std::size_t head_firings = 0;
   /// The node may run head(i+1) before tail(i) on this layout.
   bool overlap = false;
 };
@@ -91,9 +89,11 @@ inline constexpr std::size_t kArenaAlignment = 64;
 std::vector<OutputAccess> output_access(const GlueConfig& config,
                                         const FunctionRegistry& registry);
 
-/// `access` holds each function's output access by function id; without
-/// it every output is read-modify-write.
-NodeMemoryPlan plan_node_memory(const CompiledProgram& program, int node,
+/// Plans the arena of the node whose share of `program` is `share`
+/// (see lower_node). `access` holds each function's output access by
+/// function id; without it every output is read-modify-write.
+NodeMemoryPlan plan_node_memory(const CompiledProgram& program,
+                                const NodeProgram& share,
                                 const std::vector<OutputAccess>& access = {});
 
 }  // namespace sage::runtime

@@ -1,4 +1,5 @@
-// Binary serialization of CompiledProgram (the plan-cache blob format).
+// Binary serialization of CompiledProgram (the plan-cache blob format),
+// and the lowering of one node's share of a program to its step list.
 //
 // Layout: 8-byte magic, u32 format version, u64 fingerprint, the
 // canonical glue text, the lowered arrays, and a trailing FNV-1a
@@ -11,6 +12,7 @@
 // deterministic: equal programs produce equal bytes.
 #include "runtime/program.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <type_traits>
 
@@ -362,6 +364,38 @@ std::shared_ptr<const CompiledProgram> CompiledProgram::deserialize(
                 "compiled-program blob has ",
                 body.size() - sizeof kMagic - r.pos(), " trailing bytes");
   return program;
+}
+
+NodeProgram lower_node(const CompiledProgram& program, int node) {
+  NodeProgram share;
+  const GlueConfig& config = program.config;
+  const auto order = config.schedule.find(node);
+  if (order == config.schedule.end()) return share;
+  for (const int fn_id : order->second) {
+    const FunctionConfig& fn = config.function(fn_id);
+    for (int t = 0; t < fn.threads; ++t) {
+      if (fn.thread_nodes[static_cast<std::size_t>(t)] != node) continue;
+      const int firing = static_cast<int>(share.firings.size());
+      const auto fti = static_cast<std::size_t>(
+          program.fn_thread_base[static_cast<std::size_t>(fn_id)] + t);
+      share.firings.push_back({fn_id, t, fti});
+      for (const int op : program.recv_ops_of[fti]) {
+        share.steps.push_back({StepKind::kReceive, firing, op});
+      }
+      share.steps.push_back({StepKind::kFire, firing, -1});
+      for (const int op : program.send_ops_of[fti]) {
+        const bool local =
+            program.ops[static_cast<std::size_t>(op)].dst_node == node;
+        share.steps.push_back(
+            {local ? StepKind::kDeliver : StepKind::kSend, firing, op});
+      }
+    }
+  }
+  share.head = static_cast<std::size_t>(
+      std::find_if(share.steps.begin(), share.steps.end(),
+                   [](const Step& s) { return s.kind == StepKind::kReceive; }) -
+      share.steps.begin());
+  return share;
 }
 
 }  // namespace sage::runtime

@@ -159,10 +159,6 @@ struct CompiledProgram {
 
   bool from_cache() const { return cache_outcome == PlanCacheOutcome::kHit; }
 
-  int thread_count(int function_id) const {
-    return config.function(function_id).threads;
-  }
-
   /// Binary plan blob: versioned header (magic, format version,
   /// fingerprint), the canonical glue text, the lowered arrays, and a
   /// trailing whole-blob FNV-1a checksum. Deterministic: equal programs
@@ -181,5 +177,52 @@ struct CompiledProgram {
 /// entries are rejected (and re-keyed: the version is folded into the
 /// fingerprint).
 inline constexpr std::uint32_t kPlanFormatVersion = 3;
+
+// --- one node's share ------------------------------------------------------
+
+/// What one step of a node's iteration does.
+enum class StepKind : std::uint8_t {
+  kReceive,  // land a remote op in the firing's input staging
+  kFire,     // run the firing's kernel
+  kDeliver,  // copy a local op from the firing's output to its consumer
+  kSend,     // pack a remote op from the firing's output and send it
+};
+
+/// One function thread a node fires every iteration.
+struct NodeFiring {
+  int fn_id = -1;
+  int thread = 0;
+  std::size_t fti = 0;  // (function, thread) index into the program
+};
+
+/// One step of a node's iteration: what it does, for which firing, on
+/// which op.
+struct Step {
+  StepKind kind = StepKind::kFire;
+  int firing = 0;  // index into NodeProgram::firings
+  int op = -1;     // index into CompiledProgram::ops; -1 for kFire
+};
+
+/// One node's share of a program, lowered once: the straight-line
+/// sequence of computations and communications the node runs every
+/// iteration (cf. Delaval et al.'s projection of a dataflow program
+/// onto each location). The memory planner, the executor and its
+/// overlap rule all read this one list.
+struct NodeProgram {
+  /// The node's function threads in schedule order.
+  std::vector<NodeFiring> firings;
+  /// One iteration, in issue order: per firing, its remote receives,
+  /// its kernel, then its sends (local deliveries and remote sends in
+  /// send_ops_of order).
+  std::vector<Step> steps;
+  /// Index of the first remote-receive step, steps.size() when there is
+  /// none: steps [0, head) are the head of every iteration, the rest
+  /// its tail.
+  std::size_t head = 0;
+};
+
+/// Lowers `node`'s share of `program`: its schedule's function threads
+/// hosted on `node`, each expanded into steps.
+NodeProgram lower_node(const CompiledProgram& program, int node);
 
 }  // namespace sage::runtime

@@ -32,8 +32,6 @@ struct PortSlice {
   std::vector<std::size_t> global_dims;
   std::vector<Run> runs;                // global runs backing the slice
 
-  std::size_t local_elems() const { return data.size() / elem_bytes; }
-
   /// Global element index corresponding to a local element index.
   std::size_t global_of_local(std::size_t local_index) const;
 

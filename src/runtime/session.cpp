@@ -35,14 +35,11 @@ support::VirtualSeconds RunStats::mean_latency() const {
 
 namespace {
 
-/// One function thread a node fires every iteration, bound once per
-/// program: one KernelContext per ticket parity, its port slices
-/// pointing into that parity's staging, so a firing only rearms the
+/// What the executor binds once per program for one of a node's
+/// firings: one KernelContext per ticket parity, its port slices
+/// pointing into that parity's staging, so a fire step only rearms the
 /// iteration and the result.
-struct Firing {
-  int fn_id = -1;
-  int thread = 0;
-  std::size_t fti = 0;  // (function, thread) index into the program
+struct BoundFiring {
   bool sink = false;
   bool probed = false;
   std::vector<KernelContext> ctx;  // by ticket parity
@@ -69,12 +66,12 @@ struct Session::NodeState {
   // this node touches; each transfer stages through its prefix.
   std::unique_ptr<std::byte[]> scratch;
   bool hosts_source = false;
-  // This node's firings in schedule order: [0, head) is the head of
-  // every iteration (the firings before its first remote receive), the
-  // rest the tail. `overlap`: the layout lets head(i+1) run before
-  // tail(i).
-  std::vector<Firing> firings;
-  std::size_t head = 0;
+  // This node's share of the program (lower_node): its firings and one
+  // iteration of steps, whose range [0, head) is the head stage and the
+  // rest the tail. `bound` runs parallel to its firings. `overlap`: the
+  // layout lets head(i+1) run before tail(i).
+  NodeProgram lowered;
+  std::vector<BoundFiring> bound;
   bool overlap = false;
   // Epoch-continuous per-op send counters: how many iterations this
   // node has pushed down each channel since the epoch began. The credit
@@ -522,7 +519,9 @@ void Session::allocate_states_() {
   states_.reserve(static_cast<std::size_t>(config.nodes));
   for (int r = 0; r < config.nodes; ++r) {
     auto state = std::make_unique<NodeState>();
-    const NodeMemoryPlan plan = plan_node_memory(program, r, access_);
+    state->lowered = lower_node(program, r);
+    const NodeMemoryPlan plan =
+        plan_node_memory(program, state->lowered, access_);
     state->arena =
         std::make_unique_for_overwrite<std::byte[]>(plan.arena_bytes);
     state->zero_bytes = plan.zero_bytes;
@@ -538,49 +537,35 @@ void Session::allocate_states_() {
     state->scratch =
         std::make_unique_for_overwrite<std::byte[]>(plan.scratch_bytes);
     state->sends_done.assign(program.ops.size(), 0);
-    state->head = plan.head_firings;
     state->overlap = plan.overlap;
 
-    // Bind every firing once: the per-firing thread filter, params copy
-    // and port-slice build happen here, not in the run loop.
-    const auto schedule_it = config.schedule.find(r);
-    if (schedule_it != config.schedule.end()) {
-      for (const int fn_id : schedule_it->second) {
-        const FunctionConfig& fn = config.function(fn_id);
-        for (int t = 0; t < fn.threads; ++t) {
-          if (fn.thread_nodes[static_cast<std::size_t>(t)] != r) continue;
-          Firing& firing = state->firings.emplace_back();
-          firing.fn_id = fn_id;
-          firing.thread = t;
-          firing.fti = static_cast<std::size_t>(
-              program.fn_thread_base[static_cast<std::size_t>(fn_id)] + t);
-          firing.sink = fn.role == "sink";
-          firing.probed = config.probed(fn_id);
-          for (std::size_t parity = 0; parity < 2; ++parity) {
-            KernelContext& ctx = firing.ctx.emplace_back(t, fn.threads, 0);
-            ctx.params.insert(fn.params.begin(), fn.params.end());
-            for (const PortBinding& b : program.bindings_of[firing.fti]) {
-              PortSlice slice;
-              slice.name = b.name;
-              slice.data =
-                  state->staging[parity][static_cast<std::size_t>(b.slot)];
-              slice.elem_bytes = b.elem_bytes;
-              slice.local_dims = b.local_dims;
-              slice.global_dims = b.global_dims;
-              slice.runs = b.runs;
-              (b.is_input ? ctx.inputs : ctx.outputs).push_back(std::move(slice));
-            }
-          }
+    // Bind every firing once: the params copy and port-slice build
+    // happen here, not in the run loop.
+    state->bound.reserve(state->lowered.firings.size());
+    for (const NodeFiring& firing : state->lowered.firings) {
+      const FunctionConfig& fn = config.function(firing.fn_id);
+      state->hosts_source = state->hosts_source || fn.role == "source";
+      BoundFiring& bound = state->bound.emplace_back();
+      bound.sink = fn.role == "sink";
+      bound.probed = config.probed(firing.fn_id);
+      for (std::size_t parity = 0; parity < 2; ++parity) {
+        KernelContext& ctx =
+            bound.ctx.emplace_back(firing.thread, fn.threads, 0);
+        ctx.params.insert(fn.params.begin(), fn.params.end());
+        for (const PortBinding& b : program.bindings_of[firing.fti]) {
+          PortSlice slice;
+          slice.name = b.name;
+          slice.data =
+              state->staging[parity][static_cast<std::size_t>(b.slot)];
+          slice.elem_bytes = b.elem_bytes;
+          slice.local_dims = b.local_dims;
+          slice.global_dims = b.global_dims;
+          slice.runs = b.runs;
+          (b.is_input ? ctx.inputs : ctx.outputs).push_back(std::move(slice));
         }
       }
     }
     states_.push_back(std::move(state));
-  }
-  for (const FunctionConfig& fn : config.functions) {
-    if (fn.role != "source") continue;
-    for (const int r : fn.thread_nodes) {
-      states_[static_cast<std::size_t>(r)]->hosts_source = true;
-    }
   }
 }
 
@@ -643,19 +628,7 @@ RecoveryReport Session::recover(const std::vector<int>& dead_ranks) {
     }
   }
 
-  // Rebuild the per-node schedules the way the code generator emits
-  // them: function-table ids in id order, filtered to the node.
-  config.schedule.clear();
-  for (int r = 0; r < config.nodes; ++r) {
-    std::vector<int> order;
-    for (const FunctionConfig& fn : config.functions) {
-      if (std::find(fn.thread_nodes.begin(), fn.thread_nodes.end(), r) !=
-          fn.thread_nodes.end()) {
-        order.push_back(fn.id);
-      }
-    }
-    if (!order.empty()) config.schedule[r] = std::move(order);
-  }
+  config.schedule = schedule_by_id(config);
   // Placement changed: remote/local classification, share groups, and
   // slot residency all shift, so compile a fresh (session-private,
   // uncached) program for the degraded placement. Other sessions
@@ -1083,10 +1056,12 @@ void Session::stream_worker_(net::NodeContext& node) {
   // waits for the credit of i, which the consumer returns only in its
   // own tail(i) -- after its head(i+1), which waits the same way.
   bool overlap = state.overlap && epoch_streaming_;
-  for (std::size_t f = 0; f < state.head; ++f) {
-    for (const int op_idx : program_->send_ops_of[state.firings[f].fti]) {
-      const TransferOp& op = program_->ops[static_cast<std::size_t>(op_idx)];
-      if (op.dst_node != rank && op_depth_(op) < 2) overlap = false;
+  const NodeProgram& lowered = state.lowered;
+  for (std::size_t s = 0; s < lowered.head; ++s) {
+    const Step& step = lowered.steps[s];
+    if (step.kind == StepKind::kSend &&
+        op_depth_(program_->ops[static_cast<std::size_t>(step.op)]) < 2) {
+      overlap = false;
     }
   }
 
@@ -1456,11 +1431,12 @@ void Session::run_node_ticket_(net::NodeContext& node, StreamTicket& ticket,
     return checksum;
   };
 
-  std::size_t first = state.head;
-  std::size_t last = state.firings.size();
+  const std::vector<Step>& steps = state.lowered.steps;
+  std::size_t first = state.lowered.head;
+  std::size_t last = steps.size();
   if (stage == Stage::kHead) {
     first = 0;
-    last = state.head;
+    last = state.lowered.head;
     if (iter == 0) {
       share.start_vt = node.now();
       // Every ticket starts with zeroed private staging (a host-side
@@ -1491,139 +1467,153 @@ void Session::run_node_ticket_(net::NodeContext& node, StreamTicket& ticket,
     }
   }
 
-  for (std::size_t f = first; f < last; ++f) {
-    Firing& firing = state.firings[f];
+  const auto op_of = [&](const Step& step) -> const TransferOp& {
+    return program.ops[static_cast<std::size_t>(step.op)];
+  };
+  const auto label_of = [&](const TransferOp& op) -> const std::string& {
+    return program.buffers[static_cast<std::size_t>(op.buf)].label;
+  };
+  // The fan-out share group of the firing whose sends are running.
+  int last_group = -1;
+  net::Payload group_payload;
+  for (std::size_t s = first; s < last; ++s) {
+    const Step& step = steps[s];
+    const NodeFiring& firing =
+        state.lowered.firings[static_cast<std::size_t>(step.firing)];
     const int fn_id = firing.fn_id;
     const int t = firing.thread;
-
-    // --- 1. receive remote inputs -------------------------------------
-    for (const int op_idx : program.recv_ops_of[firing.fti]) {
-      const TransferOp& op = program.ops[static_cast<std::size_t>(op_idx)];
-      const PlannedBuffer& buf =
-          program.buffers[static_cast<std::size_t>(op.buf)];
-      const double t_before = node.now();
-      net::Payload payload =
-          recv(op.src_node, op.tag, fn_id, t, iter, buf.label);
-      const std::span<const std::byte> body =
-          payload.bytes().subspan(frame_off);
-      if (trace) {
-        record_event(viz::EventKind::kReceive, fn_id, t, iter, t_before,
-                     body.size(), buf.label);
-      }
-      transfer(op, &ByteSeg::packed_off, body, &ByteSeg::dst_off,
-               staging[static_cast<std::size_t>(op.dst_slot)],
-               /*charged=*/true, /*hash=*/false);
-      // Release the pooled block before the credit round-trip so the
-      // producer's next payload can reuse it.
-      payload.reset();
-      if (op_depth_(op) > 0) {
-        send_credit(op.src_node, op.tag, fn_id, t, iter,
-                    buf.label + " credit");
-      }
-    }
-
-    // --- 2. execute the kernel -----------------------------------------
-    KernelContext& kctx = firing.ctx[parity];
-    kctx.rearm(iter);
-    const double exec_start = node.now();
-    {
-      support::ComputeScope scope(node.clock(), node.cpu_scale());
-      kernels_[static_cast<std::size_t>(fn_id)](kctx);
-    }
-    if (metrics) {
-      // Two fixed-slot accumulator writes, folded into the metrics
-      // registry at collection (the registry stays host-only while
-      // tickets overlap); like the probes, charged to host time only.
-      share.fn_busy[static_cast<std::size_t>(fn_id)] +=
-          node.now() - exec_start;
-      share.fn_calls[static_cast<std::size_t>(fn_id)] += 1.0;
-    }
-    if (trace && firing.probed) {
-      viz::Event start;
-      start.kind = viz::EventKind::kFunctionStart;
-      start.function_id = fn_id;
-      start.thread = t;
-      start.iteration = iter;
-      start.start_vt = start.end_vt = exec_start;
-      start.label = cfg.function(fn_id).name;
-      share.events.record(start);
-      viz::Event end = start;
-      end.kind = viz::EventKind::kFunctionEnd;
-      end.start_vt = end.end_vt = node.now();
-      share.events.record(end);
-    }
-    if (kctx.has_result()) {
-      share.results.emplace_back(fn_id, iter, kctx.result());
-    }
-    if (firing.sink) {
-      share.iter_end.push_back(node.now());
-      if (trace) {
-        record_event(viz::EventKind::kIterationEnd, -1, 0, iter, node.now(),
-                     0, "iteration");
-      }
-    }
-
-    // --- 3. send outputs -------------------------------------------------
-    int last_group = -1;
-    net::Payload group_payload;
-    for (const int op_idx : program.send_ops_of[firing.fti]) {
-      const TransferOp& op = program.ops[static_cast<std::size_t>(op_idx)];
-      const PlannedBuffer& buf =
-          program.buffers[static_cast<std::size_t>(op.buf)];
-      const std::span<const std::byte> src_staging =
-          staging[static_cast<std::size_t>(op.src_slot)];
-
-      if (op.dst_node == rank) {
-        // Local delivery straight into the consumer's staging.
+    switch (step.kind) {
+      case StepKind::kReceive: {
+        const TransferOp& op = op_of(step);
+        const std::string& label = label_of(op);
         const double t_before = node.now();
-        transfer(op, &ByteSeg::src_off, src_staging, &ByteSeg::dst_off,
+        net::Payload payload = recv(op.src_node, op.tag, fn_id, t, iter, label);
+        const std::span<const std::byte> body =
+            payload.bytes().subspan(frame_off);
+        if (trace) {
+          record_event(viz::EventKind::kReceive, fn_id, t, iter, t_before,
+                       body.size(), label);
+        }
+        transfer(op, &ByteSeg::packed_off, body, &ByteSeg::dst_off,
+                 staging[static_cast<std::size_t>(op.dst_slot)],
+                 /*charged=*/true, /*hash=*/false);
+        // Release the pooled block before the credit round-trip so the
+        // producer's next payload can reuse it.
+        payload.reset();
+        if (op_depth_(op) > 0) {
+          send_credit(op.src_node, op.tag, fn_id, t, iter, label + " credit");
+        }
+        break;
+      }
+
+      case StepKind::kFire: {
+        BoundFiring& bound = state.bound[static_cast<std::size_t>(step.firing)];
+        KernelContext& kctx = bound.ctx[parity];
+        kctx.rearm(iter);
+        const double exec_start = node.now();
+        {
+          support::ComputeScope scope(node.clock(), node.cpu_scale());
+          kernels_[static_cast<std::size_t>(fn_id)](kctx);
+        }
+        if (metrics) {
+          // Two fixed-slot accumulator writes, folded into the metrics
+          // registry at collection (the registry stays host-only while
+          // tickets overlap); like the probes, charged to host time only.
+          share.fn_busy[static_cast<std::size_t>(fn_id)] +=
+              node.now() - exec_start;
+          share.fn_calls[static_cast<std::size_t>(fn_id)] += 1.0;
+        }
+        if (trace && bound.probed) {
+          viz::Event start;
+          start.kind = viz::EventKind::kFunctionStart;
+          start.function_id = fn_id;
+          start.thread = t;
+          start.iteration = iter;
+          start.start_vt = start.end_vt = exec_start;
+          start.label = cfg.function(fn_id).name;
+          share.events.record(start);
+          viz::Event end = start;
+          end.kind = viz::EventKind::kFunctionEnd;
+          end.start_vt = end.end_vt = node.now();
+          share.events.record(end);
+        }
+        if (kctx.has_result()) {
+          share.results.emplace_back(fn_id, iter, kctx.result());
+        }
+        if (bound.sink) {
+          share.iter_end.push_back(node.now());
+          if (trace) {
+            record_event(viz::EventKind::kIterationEnd, -1, 0, iter,
+                         node.now(), 0, "iteration");
+          }
+        }
+        // This firing's sends start a fresh share group.
+        last_group = -1;
+        group_payload.reset();
+        break;
+      }
+
+      case StepKind::kDeliver: {
+        // Local delivery straight into the consumer's staging.
+        const TransferOp& op = op_of(step);
+        const double t_before = node.now();
+        transfer(op, &ByteSeg::src_off,
+                 staging[static_cast<std::size_t>(op.src_slot)],
+                 &ByteSeg::dst_off,
                  staging[static_cast<std::size_t>(op.dst_slot)],
                  /*charged=*/true, /*hash=*/false);
         if (trace) {
           record_event(viz::EventKind::kBufferCopy, fn_id, t, iter, t_before,
-                       op.bytes, buf.label);
+                       op.bytes, label_of(op));
         }
-        continue;
+        break;
       }
 
-      const int depth = op_depth_(op);
-      if (depth > 0 && state.sends_done[static_cast<std::size_t>(op_idx)] >=
-                           static_cast<std::uint32_t>(depth)) {
-        // Wait for a free slot in this channel's physical-buffer ring:
-        // the consumer's credit for send (n - depth). The counter is
-        // epoch-continuous, so a producer k tickets ahead still
-        // respects the ring bound across data sets.
-        (void)recv(op.dst_node, op.tag, fn_id, t, iter,
-                   buf.label + " credit");
-      }
-      const double t_before = node.now();
-      net::Payload payload;
-      if (!unique && op.share_group >= 0 && op.share_group == last_group) {
-        // Fan-out share: this destination receives the same bytes the
-        // group leader packed -- send the handle, not a copy.
-        payload = group_payload;
-      } else {
-        payload = pool.acquire(frame_off + op.bytes);
-        const std::span<std::byte> frame = payload.writable();
-        // A clean, shared, contiguous send borrows the staging slice
-        // into the payload in one pass, modeled as a DMA gather: not
-        // charged to the node's compute clock.
-        const bool charged = unique || faulty || !op.contiguous;
-        seal(frame, transfer(op, &ByteSeg::src_off, src_staging,
-                             &ByteSeg::packed_off, frame.subspan(frame_off),
-                             charged, faulty));
-        if (!unique && op.share_group >= 0) {
-          last_group = op.share_group;
-          group_payload = payload;
+      case StepKind::kSend: {
+        const TransferOp& op = op_of(step);
+        const std::string& label = label_of(op);
+        const int depth = op_depth_(op);
+        std::uint32_t& sends_done =
+            state.sends_done[static_cast<std::size_t>(step.op)];
+        if (depth > 0 && sends_done >= static_cast<std::uint32_t>(depth)) {
+          // Wait for a free slot in this channel's physical-buffer ring:
+          // the consumer's credit for send (n - depth). The counter is
+          // epoch-continuous, so a producer k tickets ahead still
+          // respects the ring bound across data sets.
+          (void)recv(op.dst_node, op.tag, fn_id, t, iter, label + " credit");
         }
-      }
-      send(op.dst_node, op.tag, std::move(payload), op.bytes, fn_id, t, iter,
-           buf.label);
-      share.bytes_moved += op.bytes;
-      ++state.sends_done[static_cast<std::size_t>(op_idx)];
-      if (trace) {
-        record_event(viz::EventKind::kSend, fn_id, t, iter, t_before,
-                     op.bytes, buf.label);
+        const double t_before = node.now();
+        net::Payload payload;
+        if (!unique && op.share_group >= 0 && op.share_group == last_group) {
+          // Fan-out share: this destination receives the same bytes the
+          // group leader packed -- send the handle, not a copy.
+          payload = group_payload;
+        } else {
+          payload = pool.acquire(frame_off + op.bytes);
+          const std::span<std::byte> frame = payload.writable();
+          // A clean, shared, contiguous send borrows the staging slice
+          // into the payload in one pass, modeled as a DMA gather: not
+          // charged to the node's compute clock.
+          const bool charged = unique || faulty || !op.contiguous;
+          seal(frame,
+               transfer(op, &ByteSeg::src_off,
+                        staging[static_cast<std::size_t>(op.src_slot)],
+                        &ByteSeg::packed_off, frame.subspan(frame_off),
+                        charged, faulty));
+          if (!unique && op.share_group >= 0) {
+            last_group = op.share_group;
+            group_payload = payload;
+          }
+        }
+        send(op.dst_node, op.tag, std::move(payload), op.bytes, fn_id, t,
+             iter, label);
+        share.bytes_moved += op.bytes;
+        ++sends_done;
+        if (trace) {
+          record_event(viz::EventKind::kSend, fn_id, t, iter, t_before,
+                       op.bytes, label);
+        }
+        break;
       }
     }
   }

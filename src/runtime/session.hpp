@@ -410,6 +410,8 @@ class Session {
   bool closed() const { return machine_ == nullptr; }
 
  private:
+  /// One node's lowered steps, arena, scratch and bound kernel
+  /// contexts (session.cpp), rebuilt whenever the program changes.
   struct NodeState;
   struct StreamTicket;
   /// Per-ticket resolved execution parameters (RunOverrides folded over
@@ -433,9 +435,12 @@ class Session {
   /// One node's worker loop for an epoch: pulls tickets in submission
   /// order and executes this node's share of each.
   void stream_worker_(net::NodeContext& node);
-  /// Runs one stage of iteration `iter` of `ticket` on `node`: the head
-  /// of its firing list (opening the ticket and the iteration) or the
-  /// tail. `credit` caches the node's flow-control credit block.
+  /// Runs one stage of iteration `iter` of `ticket` on `node`: a range
+  /// of the node's lowered steps (see lower_node), the head [0, head)
+  /// -- opening the ticket and the iteration -- or the tail. Each step
+  /// receives, fires, delivers or sends; credits ride inside the
+  /// receive and send steps. `credit` caches the node's flow-control
+  /// credit block.
   enum class Stage { kHead, kTail };
   void run_node_ticket_(net::NodeContext& node, StreamTicket& ticket,
                         int iter, Stage stage, net::Payload& credit);
@@ -448,8 +453,10 @@ class Session {
   /// while the host thread is still collecting a pre-swap ticket.
   RunStats collect_(StreamTicket& ticket, const CompiledProgram& program);
   void reset_between_runs_();
-  /// Lays out every node's staging arena and logical-buffer scratch
-  /// from the program's memory plan and allocates them for overwrite.
+  /// Lowers every node's share of the program once, lays out its
+  /// staging arena and logical-buffer scratch from the memory plan of
+  /// those steps, allocates them for overwrite, and binds each firing's
+  /// kernel contexts.
   void allocate_states_();
   /// Tops the fabric's buffer pool up to the steady-state working set of
   /// the compiled program, so even a first run stays allocation-free on

@@ -96,20 +96,7 @@ GlueConfig remapped_config(const CompiledProgram& program,
               program.fn_thread_base[static_cast<std::size_t>(fn.id)] + t)];
     }
   }
-  // Re-emit the per-node schedules the way the code generator does:
-  // function-table ids in id order, filtered to the node (the same rule
-  // Session::recover() applies).
-  config.schedule.clear();
-  for (int r = 0; r < config.nodes; ++r) {
-    std::vector<int> order;
-    for (const FunctionConfig& fn : config.functions) {
-      if (std::find(fn.thread_nodes.begin(), fn.thread_nodes.end(), r) !=
-          fn.thread_nodes.end()) {
-        order.push_back(fn.id);
-      }
-    }
-    if (!order.empty()) config.schedule[r] = std::move(order);
-  }
+  config.schedule = schedule_by_id(config);
   return config;
 }
 

@@ -1,9 +1,19 @@
 // Glue-configuration format tests: serialize/parse round trips, parser
-// error reporting, and the validation rules the runtime relies on.
+// error reporting, the validation rules the runtime relies on, and the
+// generator's schedule rule.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+#include <string>
+
 #include "runtime/glue_config.hpp"
+#include "runtime/program.hpp"
 #include "support/error.hpp"
+
+#ifndef SAGE_GOLDEN_DIR
+#error "SAGE_GOLDEN_DIR must be defined by the build"
+#endif
 
 namespace sage::runtime {
 namespace {
@@ -61,6 +71,32 @@ GlueConfig sample_config() {
   config.schedule[0] = {0, 1};
   config.schedule[1] = {0, 1};
   return config;
+}
+
+std::string read_golden(const std::string& name) {
+  std::ifstream in(std::string(SAGE_GOLDEN_DIR) + "/" + name,
+                   std::ios::binary);
+  EXPECT_TRUE(in.good()) << "cannot read golden " << name;
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
+TEST(GlueConfigTest, ScheduleByIdReproducesTheGeneratedSchedules) {
+  // The Alter generator numbers functions in topological order and
+  // emits each node's schedule in id order, so the one C++ copy of the
+  // rule must give back the schedule lines it parsed.
+  for (const char* glue : {"quickstart_glue.cfg", "radar_glue.cfg"}) {
+    SCOPED_TRACE(glue);
+    const GlueConfig config = parse_glue_config(read_golden(glue));
+    ASSERT_FALSE(config.schedule.empty());
+    EXPECT_EQ(schedule_by_id(config), config.schedule);
+  }
+  const auto program =
+      CompiledProgram::deserialize(read_golden("cornerturn_64x2.plan"));
+  const GlueConfig& cornerturn = program->config;
+  ASSERT_FALSE(cornerturn.schedule.empty());
+  EXPECT_EQ(schedule_by_id(cornerturn), cornerturn.schedule);
 }
 
 TEST(GlueConfigTest, SampleValidates) {

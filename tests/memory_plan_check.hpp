@@ -9,9 +9,9 @@
 //   * every slot outside the zeroed prefix is an input whose writers
 //     tile it exactly and all run before its kernel reads it, or an
 //     output its kernel overwrites;
-//   * the head is the firings before the first remote receive, and the
-//     node is overlap-eligible exactly when nothing is zeroed and both
-//     head and tail are non-empty;
+//   * the lowering's head is the steps of the firings before the first
+//     remote receive, and the node is overlap-eligible exactly when
+//     nothing is zeroed and both head and tail are non-empty;
 //   * no two slots that share bytes are live at the same step: of one
 //     iteration, and, on an overlap-eligible node, of the block
 //     [head(i+1), tail(i)] for either ticket parity.
@@ -35,7 +35,8 @@ inline void expect_memory_plan_holds(
     const std::vector<OutputAccess>& access = {}) {
   SCOPED_TRACE("node " + std::to_string(node) +
                (access.empty() ? "" : ", with access facts"));
-  const NodeMemoryPlan plan = plan_node_memory(program, node, access);
+  const NodeProgram lowered = lower_node(program, node);
+  const NodeMemoryPlan plan = plan_node_memory(program, lowered, access);
   const GlueConfig& config = program.config;
   const auto slots = static_cast<std::size_t>(program.total_staging_slots);
   ASSERT_EQ(plan.slots.size(), slots);
@@ -119,7 +120,17 @@ inline void expect_memory_plan_holds(
     }
   }
 
-  EXPECT_EQ(plan.head_firings, static_cast<std::size_t>(head));
+  // The lowering's head step is the receive that opens firing `head`.
+  if (head < firings) {
+    ASSERT_LT(lowered.head, lowered.steps.size());
+    EXPECT_EQ(lowered.steps[lowered.head].kind, StepKind::kReceive);
+    EXPECT_EQ(lowered.steps[lowered.head].firing, head);
+  } else {
+    EXPECT_EQ(lowered.head, lowered.steps.size());
+  }
+  for (std::size_t s = 0; s < lowered.head; ++s) {
+    EXPECT_LT(lowered.steps[s].firing, head) << "step " << s;
+  }
   EXPECT_EQ(plan.overlap,
             plan.zero_bytes == 0 && head > 0 && head < firings);
   if (plan.overlap) {

@@ -84,7 +84,8 @@ TEST(MemoryPlanTest, Fft2d512OnTwoNodesPlansFiveMiBArenaAndOneMiBScratch) {
   // serves the unique policy.
   const auto program = app_program(apps::make_fft2d_workspace(512, 2));
   for (int node = 0; node < 2; ++node) {
-    const NodeMemoryPlan plan = plan_node_memory(*program, node);
+    const NodeMemoryPlan plan =
+        plan_node_memory(*program, lower_node(*program, node));
     EXPECT_EQ(plan.zero_bytes, 4 * kMiB);
     EXPECT_EQ(plan.arena_bytes, 5 * kMiB);
     EXPECT_EQ(plan.scratch_bytes, 1 * kMiB);
@@ -106,12 +107,15 @@ TEST(MemoryPlanTest, Fft2d512WithOverwritingKernelsPlansThreeMiBAndZeroesNothing
   ASSERT_EQ(program->config.function(corner_turn).name, "corner_turn");
   for (int node = 0; node < 2; ++node) {
     SCOPED_TRACE("node " + std::to_string(node));
-    const NodeMemoryPlan plan = plan_node_memory(*program, node, access);
+    const NodeMemoryPlan plan =
+        plan_node_memory(*program, lower_node(*program, node), access);
     EXPECT_EQ(plan.zero_bytes, 0u);
     EXPECT_LE(plan.arena_bytes, 3 * kMiB);
     EXPECT_EQ(plan.scratch_bytes, 1 * kMiB);
     EXPECT_TRUE(plan.overlap);
-    EXPECT_EQ(plan.head_firings, 2u);  // src, fft_rows
+    const NodeProgram lowered = lower_node(*program, node);
+    ASSERT_LT(lowered.head, lowered.steps.size());
+    EXPECT_EQ(lowered.steps[lowered.head].firing, 2);  // after src, fft_rows
 
     const auto fti = static_cast<std::size_t>(
         program->fn_thread_base[corner_turn] + node);
@@ -134,7 +138,8 @@ TEST(MemoryPlanTest, CornerTurn512WithOverwritingKernelsZeroesNothing) {
   const std::vector<OutputAccess> access =
       output_access(program->config, standard_registry());
   for (int node = 0; node < 2; ++node) {
-    const NodeMemoryPlan plan = plan_node_memory(*program, node, access);
+    const NodeMemoryPlan plan =
+        plan_node_memory(*program, lower_node(*program, node), access);
     EXPECT_EQ(plan.zero_bytes, 0u);
     EXPECT_LE(plan.arena_bytes, 3 * kMiB);
     EXPECT_TRUE(plan.overlap);
@@ -184,8 +189,10 @@ TEST(MemoryPlanTest, InputsFilledAfterTheirReaderFiresStayPrivateAndZeroed) {
   expect_plan_holds_on_every_node(*sink_first);
   expect_plan_holds_on_every_node(*src_first);
 
-  const NodeMemoryPlan late = plan_node_memory(*sink_first, 0);
-  const NodeMemoryPlan early = plan_node_memory(*src_first, 0);
+  const NodeMemoryPlan late =
+      plan_node_memory(*sink_first, lower_node(*sink_first, 0));
+  const NodeMemoryPlan early =
+      plan_node_memory(*src_first, lower_node(*src_first, 0));
   for (const PortBinding& b : sink_first->bindings_of[2]) {  // sink thread 0
     ASSERT_TRUE(b.is_input);
     const ArenaRegion& in_late = late.slots[static_cast<std::size_t>(b.slot)];

@@ -422,6 +422,14 @@ struct MetricsCase {
   int buffer_depth = 0;
 };
 
+// gtest prints a parameter with no printer as its raw bytes -- heap
+// addresses for a std::string -- and the printed value becomes part of
+// each case's ctest name, so print the case itself.
+void PrintTo(const MetricsCase& c, std::ostream* os) {
+  *os << c.app << " " << runtime::to_string(c.policy) << " depth "
+      << c.buffer_depth;
+}
+
 std::string metrics_case_name(
     const ::testing::TestParamInfo<MetricsCase>& info) {
   const bool shared = info.param.policy == runtime::BufferPolicy::kShared;

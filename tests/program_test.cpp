@@ -332,6 +332,65 @@ TEST(ProgramGoldenTest, CornerturnPlanBlobMatchesGolden) {
                    "regenerate with SAGE_UPDATE_GOLDEN=1";
 }
 
+// --- one node's share -------------------------------------------------------
+
+/// One line per step: kind, firing (function.thread) and op with its
+/// peer node.
+std::vector<std::string> render_steps(const CompiledProgram& program,
+                                      const NodeProgram& lowered) {
+  std::vector<std::string> lines;
+  for (const Step& step : lowered.steps) {
+    const NodeFiring& firing =
+        lowered.firings[static_cast<std::size_t>(step.firing)];
+    const std::string at = program.config.function(firing.fn_id).name + "." +
+                           std::to_string(firing.thread);
+    if (step.kind == StepKind::kFire) {
+      lines.push_back("fire " + at);
+      continue;
+    }
+    const TransferOp& op = program.ops[static_cast<std::size_t>(step.op)];
+    const std::string op_at = at + " op" + std::to_string(step.op);
+    if (step.kind == StepKind::kReceive) {
+      lines.push_back("receive " + op_at + " <- n" +
+                      std::to_string(op.src_node));
+    } else if (step.kind == StepKind::kSend) {
+      lines.push_back("send " + op_at + " -> n" + std::to_string(op.dst_node));
+    } else {
+      lines.push_back("deliver " + op_at);
+    }
+  }
+  return lines;
+}
+
+TEST(NodeProgramTest, CornerturnGoldenStepListsArePinned) {
+  const auto program = CompiledProgram::deserialize([] {
+    std::ifstream in(std::string(SAGE_GOLDEN_DIR) + "/cornerturn_64x2.plan",
+                     std::ios::binary);
+    std::ostringstream os;
+    os << in.rdbuf();
+    return os.str();
+  }());
+  // src | corner_turn | sink, one thread of each per node. Each src
+  // thread keeps its own half locally and sends the other; the head is
+  // everything before corner_turn's receive.
+  const std::vector<std::vector<std::string>> expected = {
+      {"fire src.0", "deliver src.0 op0", "send src.0 op1 -> n1",
+       "receive corner_turn.0 op2 <- n1", "fire corner_turn.0",
+       "deliver corner_turn.0 op4", "fire sink.0"},
+      {"fire src.1", "send src.1 op2 -> n0", "deliver src.1 op3",
+       "receive corner_turn.1 op1 <- n0", "fire corner_turn.1",
+       "deliver corner_turn.1 op5", "fire sink.1"},
+  };
+  ASSERT_EQ(program->config.nodes, 2);
+  for (int node = 0; node < 2; ++node) {
+    SCOPED_TRACE("node " + std::to_string(node));
+    const NodeProgram lowered = lower_node(*program, node);
+    EXPECT_EQ(render_steps(*program, lowered),
+              expected[static_cast<std::size_t>(node)]);
+    EXPECT_EQ(lowered.head, 3u);
+  }
+}
+
 // --- plan cache -------------------------------------------------------------
 
 /// Fresh scratch directory under the build tree, removed on scope exit.

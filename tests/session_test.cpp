@@ -14,9 +14,11 @@
 #include <vector>
 
 #include "apps/benchmarks.hpp"
+#include "apps/pipelines.hpp"
 #include "core/project.hpp"
 #include "net/fault.hpp"
 #include "runtime/glue_config.hpp"
+#include "runtime/program.hpp"
 #include "runtime/registry.hpp"
 #include "runtime/session.hpp"
 #include "support/error.hpp"
@@ -30,6 +32,13 @@ struct DeterminismCase {
   BufferPolicy policy = BufferPolicy::kUniquePerFunction;
   int buffer_depth = 0;
 };
+
+// gtest prints a parameter with no printer as its raw bytes -- heap
+// addresses for a std::string -- and the printed value becomes part of
+// each case's ctest name, so print the case itself.
+void PrintTo(const DeterminismCase& c, std::ostream* os) {
+  *os << c.app << " " << to_string(c.policy) << " depth " << c.buffer_depth;
+}
 
 std::string case_name(const ::testing::TestParamInfo<DeterminismCase>& info) {
   const bool shared = info.param.policy == BufferPolicy::kShared;
@@ -407,6 +416,12 @@ struct PinCase {
   std::string expected;  // pin_of() at the recorded commit
 };
 
+void PrintTo(const PinCase& c, std::ostream* os) {
+  *os << c.design << " " << to_string(c.policy)
+      << (c.faulty ? " chaos" : " clean")
+      << (c.streamed ? " streamed" : " run");
+}
+
 std::string pin_case_name(const ::testing::TestParamInfo<PinCase>& info) {
   const PinCase& c = info.param;
   return c.design +
@@ -710,6 +725,77 @@ TEST(SessionTest, EveryTicketStartsFromZeroedStagingForReadFirstKernels) {
         EXPECT_EQ(stats.results.at("sink"), expected) << "ticket "
                                                       << stats.ticket;
       }
+    }
+  }
+}
+
+// --- the executed order is the lowered order ------------------------------
+
+/// A step or a trace event as "<kind> <function>.<thread> <label> i<iter>".
+std::string step_line(const char* kind, const std::string& function,
+                      int thread, const std::string& label, int iter) {
+  return std::string(kind) + " " + function + "." + std::to_string(thread) +
+         " " + label + " i" + std::to_string(iter);
+}
+
+TEST(StepOrderTest, EachNodeRunsItsLoweredStepsInOrder) {
+  // Every step leaves one event: a receive, a function start, a buffer
+  // copy or a send. With every function probed, each node's events of
+  // those kinds are its step list once per iteration.
+  constexpr int kIterations = 2;
+  for (const std::string app : {"cornerturn", "fft2d", "radar"}) {
+    SCOPED_TRACE(app);
+    core::Project project(app == "radar"
+                              ? apps::make_radar_workspace(64, 128, 2)
+                              : make_workspace(app));
+    ExecuteOptions options;
+    options.iterations = kIterations;
+    auto session = project.open_session(options);
+    const CompiledProgram& program = session->program();
+    const GlueConfig& config = program.config;
+    for (const FunctionConfig& fn : config.functions) {
+      ASSERT_TRUE(config.probed(fn.id)) << fn.name;
+    }
+    const RunStats stats = session->run();
+
+    for (int node = 0; node < config.nodes; ++node) {
+      SCOPED_TRACE("node " + std::to_string(node));
+      const NodeProgram lowered = lower_node(program, node);
+      ASSERT_FALSE(lowered.steps.empty());
+      std::vector<std::string> expected;
+      for (int iter = 0; iter < kIterations; ++iter) {
+        for (const Step& step : lowered.steps) {
+          const NodeFiring& firing =
+              lowered.firings[static_cast<std::size_t>(step.firing)];
+          const std::string& name = config.function(firing.fn_id).name;
+          if (step.kind == StepKind::kFire) {
+            expected.push_back(
+                step_line("fire", name, firing.thread, name, iter));
+            continue;
+          }
+          const TransferOp& op =
+              program.ops[static_cast<std::size_t>(step.op)];
+          const std::string& label =
+              program.buffers[static_cast<std::size_t>(op.buf)].label;
+          const char* kind = step.kind == StepKind::kReceive   ? "receive"
+                             : step.kind == StepKind::kDeliver ? "deliver"
+                                                               : "send";
+          expected.push_back(
+              step_line(kind, name, firing.thread, label, iter));
+        }
+      }
+      std::vector<std::string> executed;
+      for (const viz::Event& e : stats.trace.events()) {
+        const char* kind = e.kind == viz::EventKind::kReceive ? "receive"
+                           : e.kind == viz::EventKind::kFunctionStart ? "fire"
+                           : e.kind == viz::EventKind::kBufferCopy ? "deliver"
+                           : e.kind == viz::EventKind::kSend       ? "send"
+                                                                   : nullptr;
+        if (e.node != node || kind == nullptr) continue;
+        executed.push_back(step_line(kind, config.function(e.function_id).name,
+                                     e.thread, e.label, e.iteration));
+      }
+      EXPECT_EQ(executed, expected);
     }
   }
 }

@@ -115,6 +115,13 @@ struct StreamCase {
   int depth = 0;  // 0 = the compiler's per-channel ring bounds
 };
 
+// gtest prints a parameter with no printer as its raw bytes -- heap
+// addresses for a std::string -- and the printed value becomes part of
+// each case's ctest name, so print the case itself.
+void PrintTo(const StreamCase& c, std::ostream* os) {
+  *os << c.app << " depth " << c.depth;
+}
+
 std::string stream_case_name(
     const ::testing::TestParamInfo<StreamCase>& info) {
   return info.param.app +

@@ -137,6 +137,13 @@ struct MatrixCase {
   bool faulty = false;
 };
 
+// gtest prints a parameter with no printer as its raw bytes -- heap
+// addresses for a std::string -- and the printed value becomes part of
+// each case's ctest name, so print the case itself.
+void PrintTo(const MatrixCase& c, std::ostream* os) {
+  *os << c.app << (c.faulty ? " faulty" : " clean");
+}
+
 std::string matrix_name(const ::testing::TestParamInfo<MatrixCase>& info) {
   return info.param.app + (info.param.faulty ? "_faultplan" : "_clean");
 }
